@@ -42,11 +42,17 @@ cargo test -q -p arv-integration-tests --test wire_reactor_e2e
 echo "==> chaos experiment (seeded fault injection, replay-checked)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig chaos --scale 0.5 > /dev/null
 
+echo "==> chaos experiment, rotated seeds"
+cargo run -q --release -p arv-experiments --bin experiments -- --fig chaos --scale 0.5 --seed-offset 1 > /dev/null
+
 echo "==> observability experiment (provenance replay + trace-overhead budget)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig obs --scale 0.5 > /dev/null
 
 echo "==> recovery experiment (journaled warm restart + admission-controlled flood)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig recovery --scale 0.5 > /dev/null
+
+echo "==> recovery experiment, rotated seeds"
+cargo run -q --release -p arv-experiments --bin experiments -- --fig recovery --scale 0.5 --seed-offset 1 > /dev/null
 
 echo "==> fleet experiment (core↔periphery aggregation, partitions, controller failover)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --scale 0.5 > /dev/null

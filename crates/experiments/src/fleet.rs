@@ -43,23 +43,18 @@
 //! Every scenario runs twice per seed and the outcomes must be
 //! bit-identical — a failing campaign replays exactly.
 
-use arv_cgroups::CgroupId;
-use arv_container::{ContainerSpec, SimHost};
 use arv_fleet::{AckDisposition, FleetController, FleetPolicy, Periphery, SharedLease};
-use arv_persist::{Snapshot, ViewState};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
 
-use crate::report::{FigReport, Row, Table};
+use crate::campaign::{
+    churn_demands, fleet_hosts, ground_truth, periphery_total, pump_repl, report_fields, Campaign,
+    FrameLink, SyntheticFleet, WallClock,
+};
+use crate::report::FigReport;
 
-/// Campaign seeds (distinct from the chaos and recovery suites).
-const SEEDS: [u64; 2] = [0xF1EE7, 0xA66AE6];
-
-/// Derive this run's seeds: a nonzero `offset` rotates every base seed
-/// through a splitmix-style odd multiplier, so `--seed-offset 1` is a
-/// genuinely different campaign that still replays bit-identically.
-fn seeds(offset: u64) -> [u64; 2] {
-    SEEDS.map(|s| s ^ offset.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
+/// Canonical campaign seeds (distinct from the chaos and recovery
+/// suites).
+pub(crate) const SEEDS: [u64; 2] = [0xF1EE7, 0xA66AE6];
 
 /// The paper's update-timer period is 100 ms; a full fleet ingest round
 /// (every host's frames applied plus one aggregation tick) must fit
@@ -80,7 +75,7 @@ const HEAL_ROUNDS: u32 = 12;
 
 // --- scenario 1: synthetic fleet at scale ---
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ScaleOutcome {
     hosts: u64,
     containers: u64,
@@ -93,36 +88,18 @@ struct ScaleOutcome {
     policy_adoptions: u64,
     partitioned_final: u64,
     topk_head_pressure: u64,
+    max_round_ms: WallClock,
 }
+report_fields!(ScaleOutcome: hosts, containers, rollup_mismatches, tenant_mismatches,
+    deltas_ingested, delta_entries, policy_adoptions, max_round_ms);
 
-/// Driver-side ground truth for one container.
-#[derive(Debug, Clone, Copy)]
-struct Truth {
-    cpu: u32,
-    mem: u64,
-    avail: u64,
-}
-
-fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
+fn run_scale(seed: u64, hosts: u32, containers: u32) -> ScaleOutcome {
     let mut ctl = FleetController::new(64, FleetPolicy::default());
     let mut rng = SimRng::seed_from_u64(seed);
 
     // Ground truth lives in the driver; the controller must reproduce
     // its sums from deltas alone.
-    let mut truth: Vec<Vec<Truth>> = (0..hosts)
-        .map(|_| {
-            (0..containers)
-                .map(|_| {
-                    let mem = rng.range_u64(64, 1024);
-                    Truth {
-                        cpu: rng.range_u64(1, 16) as u32,
-                        mem,
-                        avail: rng.range_u64(0, mem),
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let mut truth = SyntheticFleet::new(&mut rng, hosts, containers);
     let mut peripheries: Vec<Periphery> = (0..hosts)
         .map(|h| {
             let mut p = Periphery::new(h);
@@ -137,33 +114,11 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
     let mut tenant_mismatches = 0u64;
     let mut max_round_ms = 0.0f64;
     for round in 0..SCALE_ROUNDS {
-        // Seeded churn: every host flips a few containers to new values
-        // (the cpu map never restores the old value within a round, so
-        // each host ships at least one delta frame per round).
-        for host in truth.iter_mut() {
-            let changes = 1 + rng.range_u64(0, 7) as usize;
-            for _ in 0..changes {
-                let c = rng.range_u64(0, u64::from(containers)) as usize;
-                let t = &mut host[c];
-                t.cpu = (t.cpu % 64) + 1 + rng.range_u64(0, 4) as u32;
-                t.mem = rng.range_u64(64, 1024);
-                t.avail = rng.range_u64(0, t.mem);
-            }
-        }
+        truth.churn(&mut rng, 7);
 
         let start = std::time::Instant::now();
         for (h, p) in peripheries.iter_mut().enumerate() {
-            let mut snap = Snapshot::at(u64::from(round) + 1);
-            for (c, t) in truth[h].iter().enumerate() {
-                snap.entries.push(ViewState {
-                    id: c as u32,
-                    e_cpu: t.cpu,
-                    e_mem: t.mem,
-                    e_avail: t.avail,
-                    last_tick: u64::from(round) + 1,
-                });
-            }
-            p.observe(&snap, false, 0);
+            p.observe(&truth.snapshot(h, u64::from(round) + 1), false, 0);
             for frame in p.take_frames() {
                 if let Some(resp) = ctl.handle_frame(&frame) {
                     if let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) {
@@ -178,11 +133,11 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
         // Checkpoint: the rollup must equal ground truth exactly.
         let r = ctl.cluster_capacity();
         let (mut cpu, mut mem, mut avail) = (0u64, 0u64, 0u64);
-        for host in &truth {
+        for host in &truth.views {
             for t in host {
-                cpu += u64::from(t.cpu);
-                mem += t.mem;
-                avail += t.avail;
+                cpu += u64::from(t.0);
+                mem += t.1;
+                avail += t.2;
             }
         }
         if (r.cpu, r.mem, r.avail, r.containers, u64::from(r.hosts))
@@ -199,9 +154,9 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
         for tenant in 0..TENANTS {
             let (t, degraded) = ctl.tenant_rollup(tenant);
             let mut want = 0u64;
-            for (h, host) in truth.iter().enumerate() {
+            for (h, host) in truth.views.iter().enumerate() {
                 if h as u32 % TENANTS == tenant {
-                    want += host.iter().map(|t| u64::from(t.cpu)).sum::<u64>();
+                    want += host.iter().map(|t| u64::from(t.0)).sum::<u64>();
                 }
             }
             if t.cpu != want || degraded {
@@ -218,28 +173,27 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
 
     let top = ctl.top_pressured(10);
     let m = ctl.metrics().snapshot();
-    (
-        ScaleOutcome {
-            hosts: u64::from(hosts),
-            containers: u64::from(hosts) * u64::from(containers),
-            rounds: u64::from(SCALE_ROUNDS),
-            rollup_mismatches: mismatches,
-            tenant_mismatches,
-            deltas_ingested: m.deltas_ingested,
-            delta_entries: m.delta_entries,
-            full_syncs: m.full_syncs,
-            policy_adoptions: peripheries.iter().filter(|p| p.policy().epoch == 1).count() as u64,
-            partitioned_final: u64::from(ctl.cluster_capacity().partitioned),
-            topk_head_pressure: top
-                .first()
-                .map(|p| u64::from(p.pressure_milli))
-                .unwrap_or(0),
-        },
-        max_round_ms,
-    )
+    ScaleOutcome {
+        hosts: u64::from(hosts),
+        containers: u64::from(hosts) * u64::from(containers),
+        rounds: u64::from(SCALE_ROUNDS),
+        rollup_mismatches: mismatches,
+        tenant_mismatches,
+        deltas_ingested: m.deltas_ingested,
+        delta_entries: m.delta_entries,
+        full_syncs: m.full_syncs,
+        policy_adoptions: peripheries.iter().filter(|p| p.policy().epoch == 1).count() as u64,
+        partitioned_final: u64::from(ctl.cluster_capacity().partitioned),
+        topk_head_pressure: top
+            .first()
+            .map(|p| u64::from(p.pressure_milli))
+            .unwrap_or(0),
+        max_round_ms: WallClock(max_round_ms),
+    }
 }
 
-fn assert_scale(out: &ScaleOutcome, max_round_ms: f64, seed: u64) {
+fn assert_scale(out: &ScaleOutcome, seed: u64) {
+    let max_round_ms = out.max_round_ms.0;
     assert_eq!(
         out.rollup_mismatches, 0,
         "seed {seed:#x}: capacity rollup diverged from ground truth"
@@ -292,12 +246,9 @@ struct FaultsOutcome {
     truth_cpu: u64,
     truth_containers: u64,
 }
-
-/// A frame waiting out the lagging host's delay.
-struct Lagged {
-    release: u64,
-    frame: Vec<u8>,
-}
+report_fields!(FaultsOutcome: partition_frames_dropped, lag_frames_delayed, gap_resyncs,
+    periphery_resyncs, degraded_rounds, post_restore_partitioned, final_partitioned, final_cpu,
+    truth_cpu);
 
 fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
     let plan = FaultPlan::new(
@@ -310,23 +261,15 @@ fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
         },
     );
     let mut rng = SimRng::seed_from_u64(seed ^ 0xF1EE7);
-    let (mut hosts, ids) = fleet_hosts("fleet");
+    let (mut hosts, ids) = fleet_hosts("fleet", FAULT_HOSTS, |_, _| {});
 
     let mut ctl = FleetController::new(8, FleetPolicy::default());
     ctl.enable_journal(2);
 
-    let mut dropped = 0u64;
-    let mut delayed = 0u64;
+    let mut link = FrameLink::default();
     let mut degraded_rounds = 0u64;
     let mut post_restore_partitioned = 0u64;
     let mut crashed = false;
-    let mut lag_queue: Vec<Lagged> = Vec::new();
-
-    let deliver = |ctl: &FleetController, host: &mut SimHost, frame: &[u8]| {
-        if let Some(resp) = ctl.handle_frame(frame) {
-            host.deliver_fleet_ack(&resp);
-        }
-    };
 
     let total = rounds + HEAL_ROUNDS;
     for round in 0..u64::from(total) {
@@ -343,61 +286,12 @@ fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
         }
 
         for (h, host) in hosts.iter_mut().enumerate() {
-            // Seeded demand churn keeps views moving so every firing
-            // ships deltas; the epilogue pins demand so views settle.
-            let demands: Vec<_> = if healing {
-                ids[h].iter().map(|id| host.demand(*id, 20)).collect()
-            } else {
-                let mut picks = Vec::new();
-                for id in &ids[h] {
-                    if rng.unit() > 0.4 {
-                        picks.push(host.demand(*id, rng.range_u64(4, 20) as u32));
-                    }
-                }
-                picks
-            };
+            let demands = churn_demands(host, &ids[h], &mut rng, healing);
             host.step(&demands);
-
             let frames = host.take_fleet_frames();
-            if h == 0 && !healing && plan.partitioned(round) {
-                // The partition: frames vanish on the floor. The gap
-                // they leave forces a FULL resync once the link heals.
-                dropped += frames.len() as u64;
-            } else if h == 1 && !healing {
-                for frame in frames {
-                    delayed += 1;
-                    lag_queue.push(Lagged {
-                        release: round + plan.frame_lag(),
-                        frame,
-                    });
-                }
-            } else {
-                for frame in frames {
-                    deliver(&ctl, host, &frame);
-                }
-            }
-            if h == 1 {
-                // Release lagged frames in order once their delay is up
-                // (the epilogue flushes whatever is left).
-                let due: Vec<Lagged> = if healing {
-                    std::mem::take(&mut lag_queue)
-                } else {
-                    let mut due = Vec::new();
-                    lag_queue.retain_mut(|l| {
-                        if l.release <= round {
-                            due.push(Lagged {
-                                release: l.release,
-                                frame: std::mem::take(&mut l.frame),
-                            });
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    due
-                };
-                for l in &due {
-                    deliver(&ctl, host, &l.frame);
+            for frame in link.route(&plan, h, round, healing, frames) {
+                if let Some(resp) = ctl.handle_frame(&frame) {
+                    host.deliver_fleet_ack(&resp);
                 }
             }
         }
@@ -415,13 +309,10 @@ fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
     let m = ctl.metrics().snapshot();
     FaultsOutcome {
         hosts: u64::from(FAULT_HOSTS),
-        partition_frames_dropped: dropped,
-        lag_frames_delayed: delayed,
+        partition_frames_dropped: link.dropped,
+        lag_frames_delayed: link.delayed,
         gap_resyncs: m.deltas_gap_resyncs,
-        periphery_resyncs: hosts
-            .iter()
-            .map(|h| h.periphery().map(|p| p.stats().resyncs).unwrap_or(0))
-            .sum(),
+        periphery_resyncs: periphery_total(&hosts, |s| s.resyncs),
         full_syncs: m.full_syncs,
         partition_transitions: m.hosts_partitioned,
         degraded_rounds,
@@ -481,56 +372,6 @@ const LEASE_TTL: u64 = 2;
 /// (coalescing) is actually exercised.
 const TIGHT_BURST: u32 = 2;
 
-/// Ship every queued REPL frame from `from` to `to` and feed the
-/// replication ACKs back — one pump of the primary→standby stream.
-fn pump_repl(from: &FleetController, to: &FleetController) {
-    for frame in from.take_repl_frames() {
-        if let Some(resp) = to.handle_frame(&frame) {
-            if let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) {
-                from.handle_repl_ack(&ack);
-            }
-        }
-    }
-}
-
-/// Sum of every host's last-observed monitor snapshot — the ground
-/// truth a healed controller's rollup must reproduce exactly.
-fn ground_truth(hosts: &[SimHost]) -> (u64, u64) {
-    let (mut cpu, mut containers) = (0u64, 0u64);
-    for host in hosts {
-        let snap = host.monitor().snapshot();
-        cpu += snap.entries.iter().map(|e| u64::from(e.e_cpu)).sum::<u64>();
-        containers += snap.entries.len() as u64;
-    }
-    (cpu, containers)
-}
-
-fn fleet_hosts(tag: &str) -> (Vec<SimHost>, Vec<Vec<CgroupId>>) {
-    let mut hosts = Vec::new();
-    let mut ids: Vec<Vec<CgroupId>> = Vec::new();
-    for h in 0..FAULT_HOSTS {
-        let mut host = SimHost::paper_testbed();
-        ids.push(
-            (0..3)
-                .map(|i| {
-                    host.launch(
-                        &ContainerSpec::new(format!("{tag}-{h}-{i}"), 20)
-                            .cpus(10.0)
-                            .cpu_shares(1024),
-                    )
-                })
-                .collect(),
-        );
-        let mut p = Periphery::new(h);
-        for (i, _) in ids[h as usize].iter().enumerate() {
-            p.set_tenant(i as u32 + 1, h % 2);
-        }
-        host.attach_periphery(p);
-        hosts.push(host);
-    }
-    (hosts, ids)
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FailoverOutcome {
     hosts: u64,
@@ -550,6 +391,8 @@ struct FailoverOutcome {
     truth_cpu: u64,
     truth_containers: u64,
 }
+report_fields!(FailoverOutcome: kill_tick, ticks_to_promote, ticks_to_fresh, repl_backlog_at_kill,
+    repl_records_applied, not_leader_rejects, deltas_coalesced, final_epoch, final_cpu, truth_cpu);
 
 fn run_failover(seed: u64, rounds: u32) -> FailoverOutcome {
     let kill = u64::from(rounds) / 2;
@@ -567,7 +410,7 @@ fn run_failover(seed: u64, rounds: u32) -> FailoverOutcome {
         },
     );
     let mut rng = SimRng::seed_from_u64(seed ^ 0xFA17);
-    let (mut hosts, ids) = fleet_hosts("failover");
+    let (mut hosts, ids) = fleet_hosts("failover", FAULT_HOSTS, |_, _| {});
 
     let lease = SharedLease::new();
     let primary = FleetController::new(8, FleetPolicy::default());
@@ -600,17 +443,7 @@ fn run_failover(seed: u64, rounds: u32) -> FailoverOutcome {
         }
 
         for (h, host) in hosts.iter_mut().enumerate() {
-            let demands: Vec<_> = if healing {
-                ids[h].iter().map(|id| host.demand(*id, 20)).collect()
-            } else {
-                let mut picks = Vec::new();
-                for id in &ids[h] {
-                    if rng.unit() > 0.4 {
-                        picks.push(host.demand(*id, rng.range_u64(4, 20) as u32));
-                    }
-                }
-                picks
-            };
+            let demands = churn_demands(host, &ids[h], &mut rng, healing);
             host.step(&demands);
             let target = if killed { &standby } else { &primary };
             for frame in host.take_fleet_frames() {
@@ -656,18 +489,8 @@ fn run_failover(seed: u64, rounds: u32) -> FailoverOutcome {
         repl_records_applied: m.repl_records_applied,
         promotions: m.promotions,
         not_leader_rejects: m.not_leader_rejects,
-        deltas_coalesced: hosts
-            .iter()
-            .map(|h| {
-                h.periphery()
-                    .map(|p| p.stats().deltas_coalesced)
-                    .unwrap_or(0)
-            })
-            .sum(),
-        periphery_failovers: hosts
-            .iter()
-            .map(|h| h.periphery().map(|p| p.stats().failovers).unwrap_or(0))
-            .sum(),
+        deltas_coalesced: periphery_total(&hosts, |s| s.deltas_coalesced),
+        periphery_failovers: periphery_total(&hosts, |s| s.failovers),
         final_epoch: standby.ctl_epoch(),
         final_partitioned: u64::from(r.partitioned),
         final_cpu: r.cpu,
@@ -737,6 +560,8 @@ struct SplitBrainOutcome {
     truth_cpu: u64,
     truth_containers: u64,
 }
+report_fields!(SplitBrainOutcome: split_brain_rounds, repl_fenced, periphery_acks_fenced,
+    primary_demotions, final_cpu, rejoined_cpu, truth_cpu);
 
 fn run_splitbrain(seed: u64, rounds: u32) -> SplitBrainOutcome {
     let stall = u64::from(rounds) / 3;
@@ -750,7 +575,7 @@ fn run_splitbrain(seed: u64, rounds: u32) -> SplitBrainOutcome {
         },
     );
     let mut rng = SimRng::seed_from_u64(seed ^ 0x5B11);
-    let (mut hosts, ids) = fleet_hosts("split");
+    let (mut hosts, ids) = fleet_hosts("split", FAULT_HOSTS, |_, _| {});
 
     let lease = SharedLease::new();
     let primary = FleetController::new(8, FleetPolicy::default());
@@ -770,17 +595,7 @@ fn run_splitbrain(seed: u64, rounds: u32) -> SplitBrainOutcome {
         primary.set_lease_stalled(plan.lease_stalled(round));
 
         for (h, host) in hosts.iter_mut().enumerate() {
-            let demands: Vec<_> = if healing {
-                ids[h].iter().map(|id| host.demand(*id, 20)).collect()
-            } else {
-                let mut picks = Vec::new();
-                for id in &ids[h] {
-                    if rng.unit() > 0.4 {
-                        picks.push(host.demand(*id, rng.range_u64(4, 20) as u32));
-                    }
-                }
-                picks
-            };
+            let demands = churn_demands(host, &ids[h], &mut rng, healing);
             host.step(&demands);
             let frames = host.take_fleet_frames();
             for frame in frames {
@@ -895,211 +710,56 @@ fn assert_splitbrain(out: &SplitBrainOutcome, seed: u64) {
     );
 }
 
-// --- harness ---
-
-fn seed_label(seed: u64) -> String {
-    format!("seed_{seed:#x}")
-}
-
-/// Run the fleet campaign and produce its report. Panics (on purpose)
-/// if any aggregation, fault-recovery, failover, fencing, or
-/// same-seed-replay invariant fails.
-pub fn run(scale: f64) -> FigReport {
-    run_seeded(scale, 0)
-}
-
-/// [`run`] with this run's seeds rotated by `seed_offset` (the CLI's
-/// `--seed-offset`): offset 0 is the canonical campaign, any other
-/// value a fresh one with identical invariants.
-pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
+/// Run the fleet campaign on its seeds rotated by `seed_offset` (the
+/// CLI's `--seed-offset`: 0 is the canonical campaign, any other value a
+/// fresh one with identical invariants) and produce its report. Panics
+/// (on purpose) if any aggregation, fault-recovery, failover, fencing,
+/// or same-seed-replay invariant fails.
+pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let hosts = ((1000.0 * scale) as u32).clamp(32, 2000);
     let containers = ((100.0 * scale) as u32).clamp(8, 200);
     let fault_rounds = ((30.0 * scale) as u32).clamp(20, 40);
-    let run_seeds = seeds(seed_offset);
-
-    let mut scales = Vec::new();
-    let mut round_ms = Vec::new();
-    let mut faults = Vec::new();
-    let mut failovers = Vec::new();
-    let mut splits = Vec::new();
-    for &seed in &run_seeds {
-        // Same seed, run twice: a fleet campaign is only useful if a
-        // failure replays exactly.
-        let (s, ms) = run_scale(seed, hosts, containers);
-        let (s2, _) = run_scale(seed, hosts, containers);
-        assert_eq!(s, s2, "scale replay diverged");
-        assert_scale(&s, ms, seed);
-        scales.push(s);
-        round_ms.push(ms);
-
-        let f = run_faults(seed, fault_rounds);
-        assert_eq!(f, run_faults(seed, fault_rounds), "faults replay diverged");
-        assert_faults(&f, seed);
-        faults.push(f);
-
-        let fo = run_failover(seed, fault_rounds);
-        assert_eq!(
-            fo,
-            run_failover(seed, fault_rounds),
-            "failover replay diverged"
-        );
-        assert_failover(&fo, seed);
-        failovers.push(fo);
-
-        let sb = run_splitbrain(seed, fault_rounds);
-        assert_eq!(
-            sb,
-            run_splitbrain(seed, fault_rounds),
-            "splitbrain replay diverged"
-        );
-        assert_splitbrain(&sb, seed);
-        splits.push(sb);
-    }
-
-    let cols: Vec<String> = run_seeds.iter().map(|s| seed_label(*s)).collect();
-    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-
-    let mut t_scale = Table::new("scale", &cols);
-    let pick = |f: &dyn Fn(&ScaleOutcome) -> f64| [f(&scales[0]), f(&scales[1])];
-    t_scale.push(Row::full("hosts", &pick(&|o| o.hosts as f64)));
-    t_scale.push(Row::full("containers", &pick(&|o| o.containers as f64)));
-    t_scale.push(Row::full(
-        "rollup_mismatches",
-        &pick(&|o| o.rollup_mismatches as f64),
-    ));
-    t_scale.push(Row::full(
-        "tenant_mismatches",
-        &pick(&|o| o.tenant_mismatches as f64),
-    ));
-    t_scale.push(Row::full(
-        "deltas_ingested",
-        &pick(&|o| o.deltas_ingested as f64),
-    ));
-    t_scale.push(Row::full(
-        "delta_entries",
-        &pick(&|o| o.delta_entries as f64),
-    ));
-    t_scale.push(Row::full(
-        "policy_adoptions",
-        &pick(&|o| o.policy_adoptions as f64),
-    ));
-    t_scale.push(Row::full("max_round_ms", &[round_ms[0], round_ms[1]]));
-
-    let mut t_faults = Table::new("faults", &cols);
-    let pick = |f: &dyn Fn(&FaultsOutcome) -> f64| [f(&faults[0]), f(&faults[1])];
-    t_faults.push(Row::full(
-        "partition_frames_dropped",
-        &pick(&|o| o.partition_frames_dropped as f64),
-    ));
-    t_faults.push(Row::full(
-        "lag_frames_delayed",
-        &pick(&|o| o.lag_frames_delayed as f64),
-    ));
-    t_faults.push(Row::full("gap_resyncs", &pick(&|o| o.gap_resyncs as f64)));
-    t_faults.push(Row::full(
-        "periphery_resyncs",
-        &pick(&|o| o.periphery_resyncs as f64),
-    ));
-    t_faults.push(Row::full(
-        "degraded_rounds",
-        &pick(&|o| o.degraded_rounds as f64),
-    ));
-    t_faults.push(Row::full(
-        "post_restore_partitioned",
-        &pick(&|o| o.post_restore_partitioned as f64),
-    ));
-    t_faults.push(Row::full(
-        "final_partitioned",
-        &pick(&|o| o.final_partitioned as f64),
-    ));
-    t_faults.push(Row::full("final_cpu", &pick(&|o| o.final_cpu as f64)));
-    t_faults.push(Row::full("truth_cpu", &pick(&|o| o.truth_cpu as f64)));
-
-    let mut t_failover = Table::new("failover", &cols);
-    let pick = |f: &dyn Fn(&FailoverOutcome) -> f64| [f(&failovers[0]), f(&failovers[1])];
-    t_failover.push(Row::full("kill_tick", &pick(&|o| o.kill_tick as f64)));
-    t_failover.push(Row::full(
-        "ticks_to_promote",
-        &pick(&|o| o.ticks_to_promote as f64),
-    ));
-    t_failover.push(Row::full(
-        "ticks_to_fresh",
-        &pick(&|o| o.ticks_to_fresh as f64),
-    ));
-    t_failover.push(Row::full(
-        "repl_backlog_at_kill",
-        &pick(&|o| o.repl_backlog_at_kill as f64),
-    ));
-    t_failover.push(Row::full(
-        "repl_records_applied",
-        &pick(&|o| o.repl_records_applied as f64),
-    ));
-    t_failover.push(Row::full(
-        "not_leader_rejects",
-        &pick(&|o| o.not_leader_rejects as f64),
-    ));
-    t_failover.push(Row::full(
-        "deltas_coalesced",
-        &pick(&|o| o.deltas_coalesced as f64),
-    ));
-    t_failover.push(Row::full("final_epoch", &pick(&|o| o.final_epoch as f64)));
-    t_failover.push(Row::full("final_cpu", &pick(&|o| o.final_cpu as f64)));
-    t_failover.push(Row::full("truth_cpu", &pick(&|o| o.truth_cpu as f64)));
-
-    let mut t_split = Table::new("splitbrain", &cols);
-    let pick = |f: &dyn Fn(&SplitBrainOutcome) -> f64| [f(&splits[0]), f(&splits[1])];
-    t_split.push(Row::full(
-        "split_brain_rounds",
-        &pick(&|o| o.split_brain_rounds as f64),
-    ));
-    t_split.push(Row::full("repl_fenced", &pick(&|o| o.repl_fenced as f64)));
-    t_split.push(Row::full(
-        "periphery_acks_fenced",
-        &pick(&|o| o.periphery_acks_fenced as f64),
-    ));
-    t_split.push(Row::full(
-        "primary_demotions",
-        &pick(&|o| o.primary_demotions as f64),
-    ));
-    t_split.push(Row::full("final_cpu", &pick(&|o| o.final_cpu as f64)));
-    t_split.push(Row::full("rejoined_cpu", &pick(&|o| o.rejoined_cpu as f64)));
-    t_split.push(Row::full("truth_cpu", &pick(&|o| o.truth_cpu as f64)));
-
-    let mut t_det = Table::new("determinism", &["replays_identical"]);
-    for scenario in ["scale", "faults", "failover", "splitbrain"] {
-        // Each scenario already ran twice per seed behind an
-        // assert_eq!; reaching this point means every replay matched.
-        t_det.push(Row::full(scenario, &[1.0]));
-    }
-
-    let mut rep = FigReport::new(
+    let mut c = Campaign::new(
         "fleet",
         "core↔periphery control plane: exact rollups at fleet scale, degraded serving under \
          partition, journaled controller failover healed by FULL resyncs, lease-based standby \
          promotion with epoch fencing",
+        SEEDS,
+        seed_offset,
+    )
+    .always_naming_offset();
+    let scales = c.scenario(
+        "scale",
+        |seed, _| run_scale(seed, hosts, containers),
+        assert_scale,
     );
-    rep.tables.push(t_scale);
-    rep.tables.push(t_faults);
-    rep.tables.push(t_failover);
-    rep.tables.push(t_split);
-    rep.tables.push(t_det);
-    rep.note(format!(
-        "seeds {:#x} and {:#x} (offset {seed_offset}); every scenario run twice per seed and \
-         asserted bit-identical",
-        run_seeds[0], run_seeds[1]
-    ));
-    rep.note(format!(
+    c.scenario(
+        "faults",
+        |seed, _| run_faults(seed, fault_rounds),
+        assert_faults,
+    );
+    c.scenario(
+        "failover",
+        |seed, _| run_failover(seed, fault_rounds),
+        assert_failover,
+    );
+    c.scenario(
+        "splitbrain",
+        |seed, _| run_splitbrain(seed, fault_rounds),
+        assert_splitbrain,
+    );
+    c.note(format!(
         "{hosts} hosts × {containers} containers: capacity and tenant rollups equal ground \
          truth at every tick; worst ingest round {:.2} / {:.2} ms against the \
          {TICK_PERIOD_MS} ms timer period",
-        round_ms[0], round_ms[1]
+        scales[0].max_round_ms.0, scales[1].max_round_ms.0
     ));
-    rep.note(format!(
+    c.note(format!(
         "fleet faults on {FAULT_HOSTS} live hosts: partition serves last-good degraded then \
          heals by FULL resync; a crashed controller restores its journal, serves every host \
          last-good, and recovers to Fresh rollups equal to per-host ground truth",
     ));
-    rep.note(format!(
+    c.note(format!(
         "replicated pair: a mid-storm primary kill promotes the standby within {} ticks of \
          lease expiry, every host converges back to Fresh, and the promoted leader's rollups \
          equal ground truth; a lease-stalled split-brain is fenced by epochs — stale REPL \
@@ -1107,16 +767,17 @@ pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
          mirror of the new leader",
         LEASE_TTL + 2
     ));
-    rep
+    c.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{seed_label, seeds};
 
     #[test]
     fn fleet_campaign_passes_and_reports() {
-        let rep = run(0.05);
+        let rep = run(0.05, 0);
         assert_eq!(rep.tables.len(), 5);
         for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {
             assert_eq!(rep.tables[0].get("rollup_mismatches", &col), Some(0.0));
@@ -1152,8 +813,8 @@ mod tests {
 
     #[test]
     fn seed_offset_changes_the_seeds_reversibly() {
-        assert_eq!(seeds(0), SEEDS);
-        assert_ne!(seeds(1), SEEDS);
-        assert_eq!(seeds(1), seeds(1));
+        assert_eq!(seeds(SEEDS, 0), SEEDS);
+        assert_ne!(seeds(SEEDS, 1), SEEDS);
+        assert_eq!(seeds(SEEDS, 1), seeds(SEEDS, 1));
     }
 }

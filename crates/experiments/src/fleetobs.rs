@@ -38,23 +38,15 @@ use arv_persist::{Snapshot, ViewState};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
 use arv_telemetry::{FlightDump, FlightRecorder, FlightTrigger, LagHistogram, Tracer};
 
-use crate::report::{FigReport, Row, Table};
+use crate::campaign::{
+    pump_repl, report_fields, value_table, Campaign, FrameLink, Outcome, SyntheticFleet,
+    LAGGED_HOST,
+};
+use crate::report::FigReport;
 
-/// Campaign seeds (distinct from the fleet, chaos, and recovery
-/// suites).
-const SEEDS: [u64; 2] = [0x0B5F1EE7, 0x57A1E];
-
-/// Derive this run's seeds from `--seed-offset`, exactly as the fleet
-/// campaign does.
-fn seeds(offset: u64) -> [u64; 2] {
-    SEEDS.map(|s| s ^ offset.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Host whose frames the partition window drops.
-const PARTITIONED_HOST: usize = 0;
-
-/// Host whose frames the lag window delays (in order).
-const LAGGED_HOST: usize = 1;
+/// Canonical campaign seeds (distinct from the fleet, chaos, and
+/// recovery suites).
+pub(crate) const SEEDS: [u64; 2] = [0x0B5F1EE7, 0x57A1E];
 
 /// Trace-ring capacity for the traced ingest runs: far above the
 /// event volume of any scenario here.
@@ -87,12 +79,6 @@ struct GroundTruth {
     waterfall: LagHistogram,
 }
 
-/// A frame waiting out the lag window.
-struct Delayed {
-    release: u64,
-    frame: Vec<u8>,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WaterfallOutcome {
     hosts: u64,
@@ -100,7 +86,7 @@ struct WaterfallOutcome {
     frames_dropped: u64,
     frames_delayed: u64,
     gap_resyncs_truth: u64,
-    gap_resyncs_ctl: u64,
+    gap_resyncs: u64,
     lag_mismatches: u64,
     span_mismatches: u64,
     waterfall_mismatches: u64,
@@ -109,6 +95,8 @@ struct WaterfallOutcome {
     final_trace_max: u64,
     dumps_frozen: u64,
 }
+report_fields!(WaterfallOutcome: hosts, rounds, frames_dropped, frames_delayed, gap_resyncs,
+    lag_mismatches, span_mismatches, waterfall_mismatches, final_max_lag, dumps_frozen);
 
 /// Decode a rollup answer into its stamped span.
 fn query_span(ctl: &FleetController) -> arv_fleet::SpanStamp {
@@ -138,19 +126,10 @@ fn run_waterfall(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Waterfa
     ctl.set_tracer(Tracer::bounded(RING_CAPACITY));
     ctl.set_flight_recorder(FlightRecorder::bounded(FLIGHT_DUMPS));
 
-    let mut truth: Vec<Vec<(u32, u64, u64)>> = (0..hosts)
-        .map(|_| {
-            (0..containers)
-                .map(|_| {
-                    let mem = rng.range_u64(64, 1024);
-                    (rng.range_u64(1, 16) as u32, mem, rng.range_u64(0, mem))
-                })
-                .collect()
-        })
-        .collect();
+    let mut truth = SyntheticFleet::new(&mut rng, hosts, containers);
     let mut peripheries: Vec<Periphery> = (0..hosts).map(Periphery::new).collect();
     let mut gt: Vec<GroundTruth> = vec![GroundTruth::default(); hosts as usize];
-    let mut lag_queue: Vec<Delayed> = Vec::new();
+    let mut link = FrameLink::default();
 
     let mut out = WaterfallOutcome {
         hosts: u64::from(hosts),
@@ -158,7 +137,7 @@ fn run_waterfall(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Waterfa
         frames_dropped: 0,
         frames_delayed: 0,
         gap_resyncs_truth: 0,
-        gap_resyncs_ctl: 0,
+        gap_resyncs: 0,
         lag_mismatches: 0,
         span_mismatches: 0,
         waterfall_mismatches: 0,
@@ -210,69 +189,23 @@ fn run_waterfall(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Waterfa
     };
 
     for round in 0..u64::from(rounds) {
-        // Seeded churn: every host flips at least one container, so
-        // every firing ships a frame (the cpu map never restores the
-        // old value within a round).
-        for host in truth.iter_mut() {
-            let changes = 1 + rng.range_u64(0, 4) as usize;
-            for _ in 0..changes {
-                let c = rng.range_u64(0, u64::from(containers)) as usize;
-                let t = &mut host[c];
-                t.0 = (t.0 % 64) + 1 + rng.range_u64(0, 4) as u32;
-                t.1 = rng.range_u64(64, 1024);
-                t.2 = rng.range_u64(0, t.1);
-            }
-        }
-
+        truth.churn(&mut rng, 4);
         let flush_tick = round + 1;
         for (h, p) in peripheries.iter_mut().enumerate() {
-            let mut snap = Snapshot::at(flush_tick);
-            for (c, t) in truth[h].iter().enumerate() {
-                snap.entries.push(ViewState {
-                    id: c as u32,
-                    e_cpu: t.0,
-                    e_mem: t.1,
-                    e_avail: t.2,
-                    last_tick: flush_tick,
-                });
-            }
-            p.observe(&snap, false, 0);
-
+            p.observe(&truth.snapshot(h, flush_tick), false, 0);
             let frames = p.take_frames();
-            if h == PARTITIONED_HOST && plan.partitioned(round) {
-                out.frames_dropped += frames.len() as u64;
-            } else if h == LAGGED_HOST {
-                for frame in frames {
-                    out.frames_delayed += 1;
-                    lag_queue.push(Delayed {
-                        release: round + plan.frame_lag(),
-                        frame,
-                    });
-                }
-                let mut due = Vec::new();
-                lag_queue.retain_mut(|l| {
-                    if l.release <= round {
-                        due.push(std::mem::take(&mut l.frame));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                for frame in &due {
-                    deliver(&ctl, p, &mut gt[h], &mut out, frame);
-                }
-            } else {
-                for frame in &frames {
-                    // Direct hosts flush the round they observe: the
-                    // periphery must stamp this round's tick as the
-                    // origin (the end of the ground-truth waterfall).
-                    if let Some(Frame::Delta(d)) = decode_frame(frame) {
+            for frame in link.route(&plan, h, round, false, frames) {
+                // Direct hosts flush the round they observe: the
+                // periphery must stamp this round's tick as the origin
+                // (the end of the ground-truth waterfall).
+                if h != LAGGED_HOST {
+                    if let Some(Frame::Delta(d)) = decode_frame(&frame) {
                         if !d.full && d.origin_tick != flush_tick {
                             out.origin_violations += 1;
                         }
                     }
-                    deliver(&ctl, p, &mut gt[h], &mut out, frame);
                 }
+                deliver(&ctl, p, &mut gt[h], &mut out, &frame);
             }
         }
 
@@ -323,9 +256,11 @@ fn run_waterfall(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Waterfa
     }
 
     let span = query_span(&ctl);
+    out.frames_dropped = link.dropped;
+    out.frames_delayed = link.delayed;
     out.final_max_lag = span.max_lag();
     out.final_trace_max = span.trace_max;
-    out.gap_resyncs_ctl = ctl.metrics().snapshot().deltas_gap_resyncs;
+    out.gap_resyncs = ctl.metrics().snapshot().deltas_gap_resyncs;
     out.dumps_frozen = ctl.flight_recorder().dumps_frozen();
     out
 }
@@ -340,7 +275,7 @@ fn assert_waterfall(out: &WaterfallOutcome, seed: u64) {
         "seed {seed:#x}: the lag window delayed nothing — untested"
     );
     assert_eq!(
-        out.gap_resyncs_ctl, out.gap_resyncs_truth,
+        out.gap_resyncs, out.gap_resyncs_truth,
         "seed {seed:#x}: the controller saw different gaps than the driver's accept rule"
     );
     assert!(
@@ -383,14 +318,17 @@ struct FlightOutcome {
     final_epoch: u64,
 }
 
-/// Pump the primary→standby replication stream once.
-fn pump_repl(from: &FleetController, to: &FleetController) {
-    for frame in from.take_repl_frames() {
-        if let Some(resp) = to.handle_frame(&frame) {
-            if let Some(Frame::Ack(ack)) = decode_frame(&resp) {
-                from.handle_repl_ack(&ack);
-            }
-        }
+impl Outcome for FlightOutcome {
+    fn rows(&self) -> Vec<(&'static str, f64)> {
+        let total: usize = self.dump_bytes.iter().map(Vec::len).sum();
+        vec![
+            ("dumps_retrieved", self.dump_bytes.len() as f64),
+            ("dump_bytes_total", total as f64),
+            ("promotions", self.promotions as f64),
+            ("repl_fenced", self.repl_fenced as f64),
+            ("demotions", self.demotions as f64),
+            ("final_epoch", self.final_epoch as f64),
+        ]
     }
 }
 
@@ -521,36 +459,17 @@ fn assert_flightrec(out: &FlightOutcome, seed: u64) {
 /// controllers replay the exact same work.
 fn gen_ingest(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Vec<Vec<u8>> {
     let mut rng = SimRng::seed_from_u64(seed ^ 0x0BE4);
-    let mut truth: Vec<Vec<(u32, u64, u64)>> = (0..hosts)
-        .map(|_| {
-            (0..containers)
-                .map(|_| {
-                    let mem = rng.range_u64(64, 1024);
-                    (rng.range_u64(1, 16) as u32, mem, rng.range_u64(0, mem))
-                })
-                .collect()
-        })
-        .collect();
+    let mut truth = SyntheticFleet::new(&mut rng, hosts, containers);
     let mut peripheries: Vec<Periphery> = (0..hosts).map(Periphery::new).collect();
     let mut frames = Vec::new();
     for round in 0..u64::from(rounds) {
-        for host in truth.iter_mut() {
+        for host in &mut truth.views {
             let c = rng.range_u64(0, u64::from(containers)) as usize;
             let t = &mut host[c];
             t.0 = (t.0 % 64) + 1 + rng.range_u64(0, 4) as u32;
         }
         for (h, p) in peripheries.iter_mut().enumerate() {
-            let mut snap = Snapshot::at(round + 1);
-            for (c, t) in truth[h].iter().enumerate() {
-                snap.entries.push(ViewState {
-                    id: c as u32,
-                    e_cpu: t.0,
-                    e_mem: t.1,
-                    e_avail: t.2,
-                    last_tick: round + 1,
-                });
-            }
-            p.observe(&snap, false, 0);
+            p.observe(&truth.snapshot(h, round + 1), false, 0);
             frames.extend(p.take_frames());
         }
     }
@@ -576,55 +495,35 @@ fn ingest_ns(frames: &[Vec<u8>], traced: bool) -> f64 {
     best
 }
 
-// --- harness ---
-
-fn seed_label(seed: u64) -> String {
-    format!("seed_{seed:#x}")
-}
-
-/// Run the fleet observability campaign and produce its report. Panics
-/// (on purpose) if any waterfall-accounting, dump-replay, overhead, or
-/// same-seed-replay invariant fails.
-pub fn run(scale: f64) -> FigReport {
-    run_seeded(scale, 0)
-}
-
-/// [`run`] with this run's seeds rotated by `seed_offset` (the CLI's
-/// `--seed-offset`): offset 0 is the canonical campaign, any other
-/// value a fresh one with identical invariants.
-pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
+/// Run the fleet observability campaign on its seeds rotated by
+/// `seed_offset` (0 is the canonical campaign) and produce its report.
+/// Panics (on purpose) if any waterfall-accounting, dump-replay,
+/// overhead, or same-seed-replay invariant fails.
+pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let hosts = ((12.0 * scale) as u32).clamp(4, 24);
     let containers = ((16.0 * scale) as u32).clamp(4, 32);
     let rounds = ((30.0 * scale) as u32).clamp(16, 40);
-    let run_seeds = seeds(seed_offset);
-
-    let mut waterfalls = Vec::new();
-    let mut flights = Vec::new();
-    for &seed in &run_seeds {
-        // Same seed, run twice: an observability plane whose numbers
-        // don't replay can never be trusted during an incident.
-        let w = run_waterfall(seed, hosts, containers, rounds);
-        assert_eq!(
-            w,
-            run_waterfall(seed, hosts, containers, rounds),
-            "waterfall replay diverged"
-        );
-        assert_waterfall(&w, seed);
-        waterfalls.push(w);
-
-        let f = run_flightrec(seed);
-        let f2 = run_flightrec(seed);
-        assert_eq!(
-            f.dump_bytes, f2.dump_bytes,
-            "seed {seed:#x}: flight dumps are not bit-identical across runs"
-        );
-        assert_eq!(f, f2, "flightrec replay diverged");
-        assert_flightrec(&f, seed);
-        flights.push(f);
-    }
+    // An observability plane whose numbers don't replay can never be
+    // trusted during an incident.
+    let mut c = Campaign::new(
+        "fleetobs",
+        "fleet observability: per-host staleness waterfalls and rollup spans equal to \
+         ground-truth tick arithmetic under seeded lag/partition faults, bit-identical flight \
+         dumps for fence and promotion anomalies, observability overhead inside budget",
+        SEEDS,
+        seed_offset,
+    )
+    .always_naming_offset()
+    .replay_detail(", flight dumps compared byte-for-byte");
+    c.scenario(
+        "waterfall",
+        |seed, _| run_waterfall(seed, hosts, containers, rounds),
+        assert_waterfall,
+    );
+    let flights = c.scenario("flightrec", |seed, _| run_flightrec(seed), assert_flightrec);
 
     // Overhead gate: one deterministic stream, both configurations.
-    let frames = gen_ingest(run_seeds[0], hosts, containers, rounds);
+    let frames = gen_ingest(c.run_seeds()[0], hosts, containers, rounds);
     let traced_ns = ingest_ns(&frames, true);
     let untraced_ns = ingest_ns(&frames, false);
     let budget_ns = untraced_ns * OVERHEAD_BUDGET_RATIO + OVERHEAD_SLACK_NS;
@@ -634,113 +533,44 @@ pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
          and flight recording enabled vs {untraced_ns:.0} ns/frame disabled \
          (budget {budget_ns:.0} ns)"
     );
+    c.table(value_table(
+        "ingest_overhead",
+        "value",
+        [
+            ("traced_ns_per_frame", traced_ns),
+            ("untraced_ns_per_frame", untraced_ns),
+            ("ratio", traced_ns / untraced_ns.max(1.0)),
+            ("budget_ns", budget_ns),
+            ("frames", frames.len() as f64),
+        ],
+    ));
 
-    let cols: Vec<String> = run_seeds.iter().map(|s| seed_label(*s)).collect();
-    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-
-    let mut t_wf = Table::new("waterfall", &cols);
-    let pick = |f: &dyn Fn(&WaterfallOutcome) -> f64| [f(&waterfalls[0]), f(&waterfalls[1])];
-    t_wf.push(Row::full("hosts", &pick(&|o| o.hosts as f64)));
-    t_wf.push(Row::full("rounds", &pick(&|o| o.rounds as f64)));
-    t_wf.push(Row::full(
-        "frames_dropped",
-        &pick(&|o| o.frames_dropped as f64),
-    ));
-    t_wf.push(Row::full(
-        "frames_delayed",
-        &pick(&|o| o.frames_delayed as f64),
-    ));
-    t_wf.push(Row::full(
-        "gap_resyncs",
-        &pick(&|o| o.gap_resyncs_ctl as f64),
-    ));
-    t_wf.push(Row::full(
-        "lag_mismatches",
-        &pick(&|o| o.lag_mismatches as f64),
-    ));
-    t_wf.push(Row::full(
-        "span_mismatches",
-        &pick(&|o| o.span_mismatches as f64),
-    ));
-    t_wf.push(Row::full(
-        "waterfall_mismatches",
-        &pick(&|o| o.waterfall_mismatches as f64),
-    ));
-    t_wf.push(Row::full(
-        "final_max_lag",
-        &pick(&|o| o.final_max_lag as f64),
-    ));
-    t_wf.push(Row::full("dumps_frozen", &pick(&|o| o.dumps_frozen as f64)));
-
-    let mut t_fr = Table::new("flightrec", &cols);
-    let pick = |f: &dyn Fn(&FlightOutcome) -> f64| [f(&flights[0]), f(&flights[1])];
-    t_fr.push(Row::full(
-        "dumps_retrieved",
-        &pick(&|o| o.dump_bytes.len() as f64),
-    ));
-    t_fr.push(Row::full(
-        "dump_bytes_total",
-        &pick(&|o| o.dump_bytes.iter().map(Vec::len).sum::<usize>() as f64),
-    ));
-    t_fr.push(Row::full("promotions", &pick(&|o| o.promotions as f64)));
-    t_fr.push(Row::full("repl_fenced", &pick(&|o| o.repl_fenced as f64)));
-    t_fr.push(Row::full("demotions", &pick(&|o| o.demotions as f64)));
-    t_fr.push(Row::full("final_epoch", &pick(&|o| o.final_epoch as f64)));
-
-    let mut t_over = Table::new("ingest_overhead", &["value"]);
-    t_over.push(Row::full("traced_ns_per_frame", &[traced_ns]));
-    t_over.push(Row::full("untraced_ns_per_frame", &[untraced_ns]));
-    t_over.push(Row::full("ratio", &[traced_ns / untraced_ns.max(1.0)]));
-    t_over.push(Row::full("budget_ns", &[budget_ns]));
-    t_over.push(Row::full("frames", &[frames.len() as f64]));
-
-    let mut t_det = Table::new("determinism", &["replays_identical"]);
-    for scenario in ["waterfall", "flightrec"] {
-        // Each scenario already ran twice per seed behind an
-        // assert_eq!; reaching this point means every replay matched.
-        t_det.push(Row::full(scenario, &[1.0]));
-    }
-
-    let mut rep = FigReport::new(
-        "fleetobs",
-        "fleet observability: per-host staleness waterfalls and rollup spans equal to \
-         ground-truth tick arithmetic under seeded lag/partition faults, bit-identical flight \
-         dumps for fence and promotion anomalies, observability overhead inside budget",
-    );
-    rep.tables.push(t_wf);
-    rep.tables.push(t_fr);
-    rep.tables.push(t_over);
-    rep.tables.push(t_det);
-    rep.note(format!(
-        "seeds {:#x} and {:#x} (offset {seed_offset}); every scenario run twice per seed and \
-         asserted bit-identical, flight dumps compared byte-for-byte",
-        run_seeds[0], run_seeds[1]
-    ));
-    rep.note(format!(
+    c.note(format!(
         "{hosts} hosts × {containers} containers × {rounds} rounds: freshness lags, rollup \
          spans, and per-host waterfall histograms matched the driver's independent accept-rule \
          simulation exactly, through a 6-tick partition and a 2-tick lag window"
     ));
-    rep.note(format!(
+    c.note(format!(
         "flight recorder: a lease takeover and a fenced stale primary each froze a dump \
          ({} retrieved over QUERY_FLIGHT per seed), replayed bit-identically",
         flights[0].dump_bytes.len()
     ));
-    rep.note(format!(
+    c.note(format!(
         "fleet ingest {traced_ns:.0} ns/frame traced vs {untraced_ns:.0} ns/frame untraced \
          (budget {budget_ns:.0} ns): span folding and the armed flight recorder stay off the \
          hot path"
     ));
-    rep
+    c.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{seed_label, seeds};
 
     #[test]
     fn fleetobs_campaign_passes_and_reports() {
-        let rep = run(0.05);
+        let rep = run(0.05, 0);
         assert_eq!(rep.tables.len(), 4);
         for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {
             assert_eq!(rep.tables[0].get("lag_mismatches", &col), Some(0.0));
@@ -778,8 +608,8 @@ mod tests {
 
     #[test]
     fn seed_offset_changes_the_seeds_reversibly() {
-        assert_eq!(seeds(0), SEEDS);
-        assert_ne!(seeds(1), SEEDS);
-        assert_eq!(seeds(1), seeds(1));
+        assert_eq!(seeds(SEEDS, 0), SEEDS);
+        assert_ne!(seeds(SEEDS, 1), SEEDS);
+        assert_eq!(seeds(SEEDS, 1), seeds(SEEDS, 1));
     }
 }

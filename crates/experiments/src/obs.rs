@@ -33,14 +33,13 @@ use std::time::Instant;
 use arv_cgroups::{Bytes, CgroupId};
 use arv_container::{ContainerSpec, SimHost};
 use arv_mem::ChargeOutcome;
-use arv_resview::{
-    CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig, StalenessPolicy,
-};
+use arv_resview::StalenessPolicy;
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_telemetry::{DecisionCause, EventKind, Tracer};
 use arv_viewd::{HostSpec, ViewServer};
 
-use crate::report::{FigReport, Row, Table};
+use crate::campaign::{assert_replayed, paper_spec, register_probe_view, step_solo, value_table};
+use crate::report::FigReport;
 
 /// Trace-ring capacity for the scenario: far above the event volume,
 /// so reconstruction sees every event (`dropped_events == 0`).
@@ -69,20 +68,10 @@ const REQUIRED_CAUSES: [&str; 7] = [
 
 /// A tenant with explicit memory limits (soft 1 GiB, hard 4 GiB): the
 /// memory phases charge against these.
-fn tenant_spec(tag: impl std::fmt::Display) -> ContainerSpec {
-    ContainerSpec::new(format!("obs-{tag}"), 20)
-        .cpus(10.0)
-        .cpu_shares(1024)
+fn tenant_spec(tag: u32) -> ContainerSpec {
+    paper_spec(format!("obs-{tag}"))
         .memory(Bytes::from_mib(4096))
         .memory_reservation(Bytes::from_mib(1024))
-}
-
-/// A tenant with no memory limits — one of these doubles as the memory
-/// hog that drives host free memory below the watermarks.
-fn unlimited_spec(tag: impl std::fmt::Display) -> ContainerSpec {
-    ContainerSpec::new(format!("obs-{tag}"), 20)
-        .cpus(10.0)
-        .cpu_shares(1024)
 }
 
 /// Actual view values sampled from the monitor after one step, plus the
@@ -112,6 +101,13 @@ struct Scenario {
     checkpoints: Vec<Checkpoint>,
     degraded_reads: u64,
     prometheus: String,
+}
+
+impl Scenario {
+    /// The rendered trace ring, oldest event first.
+    fn trace(&self) -> Vec<String> {
+        self.tracer.events().iter().map(|e| e.render()).collect()
+    }
 }
 
 fn charge_ok(host: &mut SimHost, id: CgroupId, mib: u64) {
@@ -164,8 +160,7 @@ fn run_scenario() -> Scenario {
     // Phase 2 — solo demand: only c0 runs, the host has slack, and c0's
     // view climbs to its quota (cpu-saturated+slack).
     for _ in 0..8 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_solo(&mut host, ids[0]);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
@@ -179,8 +174,7 @@ fn run_scenario() -> Scenario {
     host.inject_publish_delay(delay);
     let mut degraded_reads = 0u64;
     for _ in 0..delay {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_solo(&mut host, ids[0]);
         if client.health(Some(ids[0])).is_degraded() {
             client
                 .read(Some(ids[0]), "/proc/cpuinfo")
@@ -190,15 +184,17 @@ fn run_scenario() -> Scenario {
         checkpoints.push(snap(&host, &tracer, &ids));
     }
     for _ in 0..2 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_solo(&mut host, ids[0]);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
-    // Phase 4 — two more tenants arrive and everyone turns busy: c0's
-    // grown view shrinks back toward the new, smaller fair share.
+    // Phase 4 — two more tenants arrive, with no memory limits (one
+    // doubles as the memory hog that drives host free memory below the
+    // watermarks), and everyone turns busy: c0's grown view shrinks back
+    // toward the new, smaller fair share.
     for tag in 3..5 {
-        launch(&mut host, &mut baselines, &mut ids, &unlimited_spec(tag));
+        let spec = paper_spec(format!("obs-{tag}"));
+        launch(&mut host, &mut baselines, &mut ids, &spec);
     }
     checkpoints.push(snap(&host, &tracer, &ids));
     for _ in 0..8 {
@@ -408,16 +404,6 @@ fn replay(sc: &Scenario) -> ReplayOutcome {
     out
 }
 
-fn mk_mem(soft_mib: u64, hard_mib: u64) -> EffectiveMemory {
-    EffectiveMemory::new(
-        Bytes::from_mib(soft_mib),
-        Bytes::from_mib(hard_mib),
-        Bytes::from_mib(1280),
-        Bytes::from_mib(2560),
-        EffectiveMemoryConfig::default(),
-    )
-}
-
 /// Mean nanoseconds per cached-hit query against a fresh view, min over
 /// several trials (min-of-trials rejects scheduler noise).
 fn cached_hit_ns(tracer: Tracer, iters: u32) -> f64 {
@@ -427,14 +413,7 @@ fn cached_hit_ns(tracer: Tracer, iters: u32) -> f64 {
         StalenessPolicy::default(),
         tracer,
     );
-    let id = CgroupId(1);
-    server.register(
-        id,
-        CpuBounds { lower: 2, upper: 8 },
-        EffectiveCpuConfig::default(),
-        mk_mem(512, 1024),
-    );
-    server.mirror(id, 6, Bytes::from_mib(1536), Bytes::from_mib(768));
+    let id = register_probe_view(&server);
     let client = server.client();
     client.read(Some(id), "/proc/cpuinfo").expect("warm read");
     let mut best = f64::INFINITY;
@@ -457,12 +436,10 @@ pub fn run(scale: f64) -> FigReport {
     // Replayed scenario: the trace itself must be deterministic, or a
     // timeline could never be trusted as a debugging artifact.
     let sc2 = run_scenario();
-    let rendered: Vec<String> = sc.tracer.events().iter().map(|e| e.render()).collect();
-    let rendered2: Vec<String> = sc2.tracer.events().iter().map(|e| e.render()).collect();
-    assert_eq!(rendered, rendered2, "obs scenario replay diverged");
-    assert_eq!(
-        sc.checkpoints, sc2.checkpoints,
-        "obs checkpoint trajectory diverged between replays"
+    assert_replayed(
+        "obs scenario",
+        &(sc.trace(), &sc.checkpoints),
+        &(sc2.trace(), &sc2.checkpoints),
     );
 
     let verdict = replay(&sc);
@@ -511,50 +488,46 @@ pub fn run(scale: f64) -> FigReport {
          {untraced_ns:.0} ns disabled (budget {budget_ns:.0} ns)"
     );
 
-    let mut t_causes = Table::new("decision_causes", &["events"]);
-    for cause in REQUIRED_CAUSES {
-        t_causes.push(Row::full(
-            cause,
-            &[verdict.cause_counts.get(cause).copied().unwrap_or(0) as f64],
-        ));
-    }
-    let mut t_pipeline = Table::new("pipeline_events", &["events"]);
-    for (label, count) in &verdict.pipeline_counts {
-        t_pipeline.push(Row::full(*label, &[*count as f64]));
-    }
-
-    let mut t_prov = Table::new("provenance_check", &["value"]);
-    t_prov.push(Row::full("containers", &[sc.ids.len() as f64]));
-    t_prov.push(Row::full("checkpoints", &[sc.checkpoints.len() as f64]));
-    t_prov.push(Row::full("trace_events", &[sc.tracer.emitted() as f64]));
-    t_prov.push(Row::full(
-        "events_replayed",
-        &[verdict.events_replayed as f64],
-    ));
-    t_prov.push(Row::full("chain_breaks", &[verdict.chain_breaks as f64]));
-    t_prov.push(Row::full(
-        "checkpoint_mismatches",
-        &[verdict.checkpoint_mismatches as f64],
-    ));
-    t_prov.push(Row::full(
-        "degraded_mismatches",
-        &[verdict.degraded_mismatches as f64],
-    ));
-    t_prov.push(Row::full(
-        "unknown_causes",
-        &[verdict.unknown_causes as f64],
-    ));
-    t_prov.push(Row::full(
-        "dropped_events",
-        &[sc.tracer.dropped_events() as f64],
-    ));
-    t_prov.push(Row::full("degraded_reads", &[sc.degraded_reads as f64]));
-
-    let mut t_over = Table::new("trace_overhead", &["value"]);
-    t_over.push(Row::full("traced_hit_ns", &[traced_ns]));
-    t_over.push(Row::full("untraced_hit_ns", &[untraced_ns]));
-    t_over.push(Row::full("ratio", &[traced_ns / untraced_ns.max(1.0)]));
-    t_over.push(Row::full("budget_ns", &[budget_ns]));
+    let cause_count = |cause| verdict.cause_counts.get(cause).copied().unwrap_or(0) as f64;
+    let t_causes = value_table(
+        "decision_causes",
+        "events",
+        REQUIRED_CAUSES.map(|cause| (cause, cause_count(cause))),
+    );
+    let t_pipeline = value_table(
+        "pipeline_events",
+        "events",
+        verdict.pipeline_counts.iter().map(|(l, n)| (*l, *n as f64)),
+    );
+    let t_prov = value_table(
+        "provenance_check",
+        "value",
+        [
+            ("containers", sc.ids.len() as f64),
+            ("checkpoints", sc.checkpoints.len() as f64),
+            ("trace_events", sc.tracer.emitted() as f64),
+            ("events_replayed", verdict.events_replayed as f64),
+            ("chain_breaks", verdict.chain_breaks as f64),
+            (
+                "checkpoint_mismatches",
+                verdict.checkpoint_mismatches as f64,
+            ),
+            ("degraded_mismatches", verdict.degraded_mismatches as f64),
+            ("unknown_causes", verdict.unknown_causes as f64),
+            ("dropped_events", sc.tracer.dropped_events() as f64),
+            ("degraded_reads", sc.degraded_reads as f64),
+        ],
+    );
+    let t_over = value_table(
+        "trace_overhead",
+        "value",
+        [
+            ("traced_hit_ns", traced_ns),
+            ("untraced_hit_ns", untraced_ns),
+            ("ratio", traced_ns / untraced_ns.max(1.0)),
+            ("budget_ns", budget_ns),
+        ],
+    );
 
     let mut rep = FigReport::new(
         "obs",
@@ -626,9 +599,7 @@ mod tests {
     fn scenario_trace_is_deterministic() {
         let a = run_scenario();
         let b = run_scenario();
-        let ra: Vec<String> = a.tracer.events().iter().map(|e| e.render()).collect();
-        let rb: Vec<String> = b.tracer.events().iter().map(|e| e.render()).collect();
-        assert_eq!(ra, rb);
+        assert_eq!(a.trace(), b.trace());
         assert_eq!(a.degraded_reads, b.degraded_reads);
     }
 

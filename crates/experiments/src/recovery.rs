@@ -27,16 +27,19 @@
 //! bit-identical — a failing campaign replays exactly.
 
 use arv_cgroups::CgroupId;
-use arv_container::{ContainerSpec, SimHost};
+use arv_container::SimHost;
 use arv_resview::Sysconf;
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_viewd::{ViewServer, WireClient, WireLimits, WireServer, KIND_STATS};
 
-use crate::report::{FigReport, Row, Table};
+use crate::campaign::{
+    cpu_floor, outside_bounds, paper_spec, report_fields, step_solo, Campaign, WallClock,
+};
+use crate::report::FigReport;
 
-/// The two campaign seeds (distinct from the chaos campaign's, so the
-/// suites never share a lucky constant).
-const SEEDS: [u64; 2] = [0xC0FFEE, 0xB007ED];
+/// The two canonical campaign seeds (distinct from the chaos campaign's,
+/// so the suites never share a lucky constant).
+pub(crate) const SEEDS: [u64; 2] = [0xC0FFEE, 0xB007ED];
 
 /// Update-timer firings that grow the busy container to its quota
 /// before any fault is injected.
@@ -59,12 +62,6 @@ const FLOOD_REQUESTS_OVER: u32 = 16;
 /// well under that even while the daemon is shedding.
 const HIT_P99_BUDGET_NS: u64 = 5_000_000;
 
-fn paper_spec(tag: impl std::fmt::Display) -> ContainerSpec {
-    ContainerSpec::new(format!("recovery-{tag}"), 20)
-        .cpus(10.0)
-        .cpu_shares(1024)
-}
-
 fn xorshift(mut x: u64) -> u64 {
     x ^= x << 13;
     x ^= x >> 7;
@@ -84,34 +81,32 @@ struct CrashOutcome {
     dropped: u64,
     truncated_records: u64,
     ticks_to_fresh: u64,
-    recovery_latency_p99: u64,
+    recovery_latency_p99_ticks: u64,
     viewd_reconciled: u64,
     missed_ticks: u64,
     resyncs: u64,
 }
+report_fields!(CrashOutcome: downtime_ticks, pre_crash_cpus, floor_cpus, post_restart_cpus,
+    restored_plus_reconciled, ticks_to_fresh, recovery_latency_p99_ticks, viewd_reconciled,
+    missed_ticks, resyncs);
 
 fn run_crash_restart(seed: u64) -> CrashOutcome {
     let mut host = SimHost::paper_testbed();
     let server = ViewServer::new(host.viewd_host_spec(), 4);
     host.attach_viewd(server.clone());
     host.enable_journal(4);
-    let ids: Vec<CgroupId> = (0..5).map(|i| host.launch(&paper_spec(i))).collect();
+    let ids: Vec<CgroupId> = (0..5)
+        .map(|i| host.launch(&paper_spec(format!("recovery-{i}"))))
+        .collect();
 
     // Only c0 runs: its view climbs from the all-busy fair share to the
     // 10-core quota, so restored-state and cold-floor answers differ.
     for _ in 0..GROW_STEPS {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_solo(&mut host, ids[0]);
     }
     let client = server.client();
     let pre_crash_cpus = client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln);
-    let floor_cpus = u64::from(
-        host.monitor()
-            .namespace(ids[0])
-            .expect("namespace exists")
-            .cpu_bounds()
-            .lower,
-    );
+    let floor_cpus = cpu_floor(&host, ids[0]);
 
     // Seed-flavoured downtime, always at least two missed deadlines.
     let downtime = 2 + seed % 3;
@@ -126,8 +121,7 @@ fn run_crash_restart(seed: u64) -> CrashOutcome {
     let restart_tick = crash_start + downtime;
     let mut ticks_to_fresh = u64::MAX;
     for _ in 0..downtime + 3 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_solo(&mut host, ids[0]);
         if host.now_tick() >= restart_tick && ticks_to_fresh == u64::MAX {
             // The query is what closes the daemon's recovery-latency
             // histogram: first Fresh-health serve after note_restore.
@@ -154,7 +148,7 @@ fn run_crash_restart(seed: u64) -> CrashOutcome {
         dropped: outcome.dropped as u64,
         truncated_records: ev.report.truncated_records,
         ticks_to_fresh,
-        recovery_latency_p99: m.recovery_latency_p99,
+        recovery_latency_p99_ticks: m.recovery_latency_p99,
         viewd_reconciled: m.restore_reconciled_containers,
         missed_ticks: w.missed_ticks,
         resyncs: w.resyncs,
@@ -186,9 +180,9 @@ fn assert_crash(out: &CrashOutcome, seed: u64) {
         out.ticks_to_fresh
     );
     assert!(
-        out.recovery_latency_p99 <= RECOVERY_TO_FRESH_BOUND,
+        out.recovery_latency_p99_ticks <= RECOVERY_TO_FRESH_BOUND,
         "seed {seed:#x}: recovery-latency p99 {} ticks over bound",
-        out.recovery_latency_p99
+        out.recovery_latency_p99_ticks
     );
     assert_eq!(
         out.missed_ticks, out.downtime_ticks,
@@ -204,7 +198,7 @@ fn assert_crash(out: &CrashOutcome, seed: u64) {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TornOutcome {
-    cut_count: u64,
+    cuts: u64,
     warm_restores: u64,
     cold_restores: u64,
     truncated_records: u64,
@@ -212,13 +206,16 @@ struct TornOutcome {
     exact_matches: u64,
     full_restore_truncated: u64,
 }
+report_fields!(TornOutcome: cuts, warm_restores, cold_restores, truncated_records,
+    bound_violations, exact_matches);
 
 fn run_torn_journal(seed: u64, cuts: u32) -> TornOutcome {
     let mut host = SimHost::paper_testbed();
-    let ids: Vec<CgroupId> = (0..5).map(|i| host.launch(&paper_spec(i))).collect();
+    let ids: Vec<CgroupId> = (0..5)
+        .map(|i| host.launch(&paper_spec(format!("recovery-{i}"))))
+        .collect();
     for _ in 0..GROW_STEPS {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_solo(&mut host, ids[0]);
     }
     // Checkpoint the grown state, then shift demand to the other four:
     // c0's view decays tick by tick, so every delta in the tail differs
@@ -254,16 +251,8 @@ fn run_torn_journal(seed: u64, cuts: u32) -> TornOutcome {
             cold += 1;
         }
         for id in &ids {
-            match host.monitor().namespace(*id) {
-                Some(ns) => {
-                    let bounds = ns.cpu_bounds();
-                    let eff = ns.effective_cpu();
-                    if eff < bounds.lower || eff > bounds.upper {
-                        violations += 1;
-                    }
-                }
-                None => violations += 1,
-            }
+            let ns = host.monitor().namespace(*id);
+            violations += u64::from(ns.map_or(true, outside_bounds));
         }
     }
 
@@ -275,7 +264,7 @@ fn run_torn_journal(seed: u64, cuts: u32) -> TornOutcome {
         .filter(|(id, p)| host.effective_cpu(**id) == **p)
         .count() as u64;
     TornOutcome {
-        cut_count: offsets.len() as u64,
+        cuts: offsets.len() as u64,
         warm_restores: warm,
         cold_restores: cold,
         truncated_records: truncated,
@@ -292,7 +281,7 @@ fn assert_torn(out: &TornOutcome, seed: u64) {
     );
     assert_eq!(
         out.warm_restores + out.cold_restores,
-        out.cut_count,
+        out.cuts,
         "seed {seed:#x}: every truncation must restore, never panic"
     );
     assert!(
@@ -316,7 +305,7 @@ fn assert_torn(out: &TornOutcome, seed: u64) {
 
 // --- scenario 3: client flood ---
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FloodOutcome {
     flood_clients: u64,
     flood_sheds: u64,
@@ -327,16 +316,20 @@ struct FloodOutcome {
     missed_ticks: u64,
     connections_dropped: u64,
     conns_evicted_slow: u64,
+    cached_hit_p99_ns: WallClock,
 }
+report_fields!(FloodOutcome: flood_clients, flood_sheds, server_requests_shed, reader_cached_ok,
+    retry_after_ms, missed_ticks, cached_hit_p99_ns);
 
-fn run_flood(seed: u64, replay: u32, clients: u32) -> (FloodOutcome, u64) {
+fn run_flood(seed: u64, replay: u32, clients: u32) -> FloodOutcome {
     let mut host = SimHost::paper_testbed();
-    let ids: Vec<CgroupId> = (0..3).map(|i| host.launch(&paper_spec(i))).collect();
+    let ids: Vec<CgroupId> = (0..3)
+        .map(|i| host.launch(&paper_spec(format!("recovery-{i}"))))
+        .collect();
     let server = ViewServer::new(host.viewd_host_spec(), 4);
     host.attach_viewd(server.clone());
     for _ in 0..30 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_solo(&mut host, ids[0]);
     }
 
     let socket = std::env::temp_dir().join(format!(
@@ -408,8 +401,7 @@ fn run_flood(seed: u64, replay: u32, clients: u32) -> (FloodOutcome, u64) {
             })
             .collect();
         for _ in 0..10 {
-            let demands = vec![host.demand(ids[0], 20)];
-            host.step(&demands);
+            step_solo(&mut host, ids[0]);
         }
         handles
             .into_iter()
@@ -421,23 +413,21 @@ fn run_flood(seed: u64, replay: u32, clients: u32) -> (FloodOutcome, u64) {
 
     let m = server.metrics();
     let w = host.watchdog_stats();
-    (
-        FloodOutcome {
-            flood_clients: u64::from(clients),
-            flood_sheds,
-            server_requests_shed: m.requests_shed,
-            reader_cached_ok,
-            reader_miss_shed,
-            retry_after_ms,
-            missed_ticks: w.missed_ticks,
-            connections_dropped: m.connections_dropped,
-            conns_evicted_slow: m.conns_evicted_slow,
-        },
-        m.hit_p99_ns,
-    )
+    FloodOutcome {
+        flood_clients: u64::from(clients),
+        flood_sheds,
+        server_requests_shed: m.requests_shed,
+        reader_cached_ok,
+        reader_miss_shed,
+        retry_after_ms,
+        missed_ticks: w.missed_ticks,
+        connections_dropped: m.connections_dropped,
+        conns_evicted_slow: m.conns_evicted_slow,
+        cached_hit_p99_ns: WallClock(m.hit_p99_ns as f64),
+    }
 }
 
-fn assert_flood(out: &FloodOutcome, hit_p99_ns: u64, seed: u64) {
+fn assert_flood(out: &FloodOutcome, seed: u64) {
     assert_eq!(
         out.flood_sheds,
         out.flood_clients * u64::from(FLOOD_REQUESTS_OVER),
@@ -467,185 +457,66 @@ fn assert_flood(out: &FloodOutcome, hit_p99_ns: u64, seed: u64) {
     );
     assert_eq!(out.connections_dropped, 0, "seed {seed:#x}");
     assert_eq!(out.conns_evicted_slow, 0, "seed {seed:#x}");
+    let hit_p99_ns = out.cached_hit_p99_ns.0;
     assert!(
-        hit_p99_ns < HIT_P99_BUDGET_NS,
+        hit_p99_ns < HIT_P99_BUDGET_NS as f64,
         "seed {seed:#x}: cached-hit p99 {hit_p99_ns} ns blew the \
          {HIT_P99_BUDGET_NS} ns budget under flood"
     );
 }
 
-// --- harness ---
-
-fn seed_label(seed: u64) -> String {
-    format!("seed_{seed:#x}")
-}
-
-/// Run the recovery campaign and produce its report. Panics (on
-/// purpose) if any crash-safety or overload invariant, or the
-/// same-seed replay check, fails.
-pub fn run(scale: f64) -> FigReport {
+/// Run the recovery campaign on its seeds rotated by `seed_offset` and
+/// produce its report. Panics (on purpose) if any crash-safety or
+/// overload invariant, or the same-seed replay check, fails.
+pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let cuts = ((8.0 * scale) as u32).clamp(3, 16);
     let clients = ((6.0 * scale) as u32).clamp(2, 8);
-
-    let mut crashes = Vec::new();
-    let mut torn = Vec::new();
-    let mut floods = Vec::new();
-    let mut flood_p99s = Vec::new();
-    for (i, &seed) in SEEDS.iter().enumerate() {
-        // Same seed, run twice: a recovery harness is only useful if a
-        // failure replays exactly.
-        let c = run_crash_restart(seed);
-        assert_eq!(c, run_crash_restart(seed), "crash-restart replay diverged");
-        assert_crash(&c, seed);
-        crashes.push(c);
-
-        let t = run_torn_journal(seed, cuts);
-        assert_eq!(
-            t,
-            run_torn_journal(seed, cuts),
-            "torn-journal replay diverged"
-        );
-        assert_torn(&t, seed);
-        torn.push(t);
-
-        let (f, p99) = run_flood(seed, (i * 2) as u32, clients);
-        let (f2, p99_replay) = run_flood(seed, (i * 2 + 1) as u32, clients);
-        assert_eq!(f, f2, "flood replay diverged");
-        assert_flood(&f, p99, seed);
-        assert_flood(&f2, p99_replay, seed);
-        floods.push(f);
-        flood_p99s.push(p99);
-    }
-
-    let cols: Vec<String> = SEEDS.iter().map(|s| seed_label(*s)).collect();
-    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-
-    let mut t_crash = Table::new("warm_restart", &cols);
-    let pick = |f: &dyn Fn(&CrashOutcome) -> f64| [f(&crashes[0]), f(&crashes[1])];
-    t_crash.push(Row::full(
-        "downtime_ticks",
-        &pick(&|o| o.downtime_ticks as f64),
-    ));
-    t_crash.push(Row::full(
-        "pre_crash_cpus",
-        &pick(&|o| o.pre_crash_cpus as f64),
-    ));
-    t_crash.push(Row::full("floor_cpus", &pick(&|o| o.floor_cpus as f64)));
-    t_crash.push(Row::full(
-        "post_restart_cpus",
-        &pick(&|o| o.post_restart_cpus as f64),
-    ));
-    t_crash.push(Row::full(
-        "restored_plus_reconciled",
-        &pick(&|o| o.restored_plus_reconciled as f64),
-    ));
-    t_crash.push(Row::full(
-        "ticks_to_fresh",
-        &pick(&|o| o.ticks_to_fresh as f64),
-    ));
-    t_crash.push(Row::full(
-        "recovery_latency_p99_ticks",
-        &pick(&|o| o.recovery_latency_p99 as f64),
-    ));
-    t_crash.push(Row::full(
-        "viewd_reconciled",
-        &pick(&|o| o.viewd_reconciled as f64),
-    ));
-    t_crash.push(Row::full("missed_ticks", &pick(&|o| o.missed_ticks as f64)));
-    t_crash.push(Row::full("resyncs", &pick(&|o| o.resyncs as f64)));
-
-    let mut t_torn = Table::new("torn_journal", &cols);
-    let pick = |f: &dyn Fn(&TornOutcome) -> f64| [f(&torn[0]), f(&torn[1])];
-    t_torn.push(Row::full("cuts", &pick(&|o| o.cut_count as f64)));
-    t_torn.push(Row::full(
-        "warm_restores",
-        &pick(&|o| o.warm_restores as f64),
-    ));
-    t_torn.push(Row::full(
-        "cold_restores",
-        &pick(&|o| o.cold_restores as f64),
-    ));
-    t_torn.push(Row::full(
-        "truncated_records",
-        &pick(&|o| o.truncated_records as f64),
-    ));
-    t_torn.push(Row::full(
-        "bound_violations",
-        &pick(&|o| o.bound_violations as f64),
-    ));
-    t_torn.push(Row::full(
-        "exact_matches",
-        &pick(&|o| o.exact_matches as f64),
-    ));
-
-    let mut t_flood = Table::new("client_flood", &cols);
-    let pick = |f: &dyn Fn(&FloodOutcome) -> f64| [f(&floods[0]), f(&floods[1])];
-    t_flood.push(Row::full(
-        "flood_clients",
-        &pick(&|o| o.flood_clients as f64),
-    ));
-    t_flood.push(Row::full("flood_sheds", &pick(&|o| o.flood_sheds as f64)));
-    t_flood.push(Row::full(
-        "server_requests_shed",
-        &pick(&|o| o.server_requests_shed as f64),
-    ));
-    t_flood.push(Row::full(
-        "reader_cached_ok",
-        &pick(&|o| o.reader_cached_ok as f64),
-    ));
-    t_flood.push(Row::full(
-        "retry_after_ms",
-        &pick(&|o| o.retry_after_ms as f64),
-    ));
-    t_flood.push(Row::full("missed_ticks", &pick(&|o| o.missed_ticks as f64)));
-    t_flood.push(Row::full(
-        "cached_hit_p99_ns",
-        &[flood_p99s[0] as f64, flood_p99s[1] as f64],
-    ));
-
-    let mut t_det = Table::new("determinism", &["replays_identical"]);
-    for scenario in ["warm_restart", "torn_journal", "client_flood"] {
-        // Each scenario above already ran twice per seed behind an
-        // assert_eq!; reaching this point means every replay matched.
-        t_det.push(Row::full(scenario, &[1.0]));
-    }
-
-    let mut rep = FigReport::new(
+    let mut c = Campaign::new(
         "recovery",
         "crash-safe warm restart from the view journal + admission-controlled serving under flood",
+        SEEDS,
+        seed_offset,
     );
-    rep.tables.push(t_crash);
-    rep.tables.push(t_torn);
-    rep.tables.push(t_flood);
-    rep.tables.push(t_det);
-    rep.note(format!(
-        "seeds {:#x} and {:#x}; every scenario run twice per seed and asserted bit-identical",
-        SEEDS[0], SEEDS[1]
-    ));
-    rep.note(format!(
+    c.scenario(
+        "warm_restart",
+        |seed, _| run_crash_restart(seed),
+        assert_crash,
+    );
+    c.scenario(
+        "torn_journal",
+        |seed, _| run_torn_journal(seed, cuts),
+        assert_torn,
+    );
+    let floods = c.scenario(
+        "client_flood",
+        |seed, replay| run_flood(seed, replay, clients),
+        assert_flood,
+    );
+    c.note(format!(
         "restart serves the reconciled journal state (never the cold floor), Fresh within \
          {RECOVERY_TO_FRESH_BOUND} ticks of the restart"
     ));
-    rep.note(format!(
+    c.note(format!(
         "{} arbitrary journal truncations per seed: prefix-consistent restores, zero bound \
          violations, intact bytes replay the exact crash-time views",
         cuts + 2
     ));
-    rep.note(format!(
+    c.note(format!(
         "{clients} flooding clients: over-budget requests shed with a retry-after hint while \
          cached-hit reads flow (p99 {} / {} ns) and the update timer misses no ticks",
-        flood_p99s[0], flood_p99s[1]
+        floods[0].cached_hit_p99_ns.0, floods[1].cached_hit_p99_ns.0
     ));
-    rep
+    c.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::seed_label;
 
     #[test]
     fn recovery_campaign_passes_and_reports() {
-        let rep = run(0.5);
+        let rep = run(0.5, 0);
         assert_eq!(rep.tables.len(), 4);
         let crash = &rep.tables[0];
         for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {

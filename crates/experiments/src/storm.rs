@@ -29,20 +29,19 @@
 
 use std::collections::BTreeMap;
 
-use arv_container::{ContainerSpec, SimHost};
-use arv_fleet::{AckDisposition, FleetController, FleetPolicy, Periphery, SharedLease};
+use arv_container::SimHost;
+use arv_fleet::{AckDisposition, FleetController, FleetPolicy, SharedLease};
 use arv_persist::{restore, FaultyStore, Journal, Snapshot, StoreFaults, ViewState};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
 
-use crate::report::{FigReport, Row, Table};
+use crate::campaign::{
+    churn_demands, fleet_hosts, ground_truth, periphery_total, pump_repl, report_fields, Campaign,
+    FrameLink,
+};
+use crate::report::FigReport;
 
-/// Campaign seeds (distinct from the fleet and chaos suites).
-const SEEDS: [u64; 2] = [0x0057_0213, 0x00D0_7A6E];
-
-/// Derive this run's seeds (same rotation idiom as [`crate::fleet`]).
-fn seeds(offset: u64) -> [u64; 2] {
-    SEEDS.map(|s| s ^ offset.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
+/// Canonical campaign seeds (distinct from the fleet and chaos suites).
+pub(crate) const SEEDS: [u64; 2] = [0x0057_0213, 0x00D0_7A6E];
 
 /// Hosts in the storm scenario.
 const STORM_HOSTS: u32 = 6;
@@ -78,6 +77,9 @@ struct SoakOutcome {
     invalid_restored_views: u64,
     lost_tail_violations: u64,
 }
+report_fields!(SoakOutcome: ticks, appends_ok, appends_err, torn_appends, write_errors,
+    no_space_errors, rotted_bits, sync_stalls, crashes, invalid_restored_views,
+    lost_tail_violations);
 
 fn run_soak(seed: u64, ticks: u64) -> SoakOutcome {
     let faults = StoreFaults {
@@ -233,6 +235,9 @@ struct StormOutcome {
     host_restore_mismatches: u64,
     ctl_restore_matches_live: bool,
 }
+report_fields!(StormOutcome: bound_violations, host_io_errors, max_degraded_hosts,
+    max_fallback_bytes, final_degraded_hosts, step_down_tick, last_ok_renew_tick, promote_tick,
+    deposed_max_ack_epoch, final_epoch, host_restore_mismatches, final_cpu, truth_cpu);
 
 /// Per-container view map for exact restore-vs-live comparison.
 fn view_map(snap: &Snapshot) -> BTreeMap<u32, (u32, u64, u64)> {
@@ -242,36 +247,11 @@ fn view_map(snap: &Snapshot) -> BTreeMap<u32, (u32, u64, u64)> {
         .collect()
 }
 
-/// Sum of every host's last-observed monitor snapshot.
-fn ground_truth(hosts: &[SimHost]) -> (u64, u64) {
-    let (mut cpu, mut containers) = (0u64, 0u64);
-    for host in hosts {
-        let snap = host.monitor().snapshot();
-        cpu += snap.entries.iter().map(|e| u64::from(e.e_cpu)).sum::<u64>();
-        containers += snap.entries.len() as u64;
-    }
-    (cpu, containers)
-}
-
 /// The storm fleet: each host journals onto its own store — hosts 2-4
 /// onto seeded faulty stores whose windows are staggered through the
 /// storm, the rest onto clean memory stores as controls.
 fn storm_hosts(seed: u64) -> (Vec<SimHost>, Vec<Vec<arv_cgroups::CgroupId>>) {
-    let mut hosts = Vec::new();
-    let mut ids: Vec<Vec<arv_cgroups::CgroupId>> = Vec::new();
-    for h in 0..STORM_HOSTS {
-        let mut host = SimHost::paper_testbed();
-        ids.push(
-            (0..3)
-                .map(|i| {
-                    host.launch(
-                        &ContainerSpec::new(format!("storm-{h}-{i}"), 20)
-                            .cpus(10.0)
-                            .cpu_shares(1024),
-                    )
-                })
-                .collect(),
-        );
+    fleet_hosts("storm", STORM_HOSTS, |h, host| {
         let faults = match h {
             2 => Some(StoreFaults {
                 full_at: Some((8, 4)),
@@ -292,20 +272,7 @@ fn storm_hosts(seed: u64) -> (Vec<SimHost>, Vec<Vec<arv_cgroups::CgroupId>>) {
                 .enable_journal_with_store(Box::new(FaultyStore::new(seed ^ u64::from(h), f)), 4),
             None => host.enable_journal(4),
         }
-        let mut p = Periphery::new(h);
-        for (i, _) in ids[h as usize].iter().enumerate() {
-            p.set_tenant(i as u32 + 1, h % 2);
-        }
-        host.attach_periphery(p);
-        hosts.push(host);
-    }
-    (hosts, ids)
-}
-
-/// A frame waiting out the lagging host's delay.
-struct Lagged {
-    release: u64,
-    frame: Vec<u8>,
+    })
 }
 
 fn run_storm(seed: u64) -> StormOutcome {
@@ -403,7 +370,7 @@ fn run_storm(seed: u64) -> StormOutcome {
     let mut primary_down = false;
     let mut rejoined = false;
     let mut reversed = false;
-    let mut lag_queue: Vec<Lagged> = Vec::new();
+    let mut link = FrameLink::default();
 
     let total = STORM_ROUNDS + HEAL_ROUNDS;
     for round in 0..u64::from(total) {
@@ -426,17 +393,7 @@ fn run_storm(seed: u64) -> StormOutcome {
         }
 
         for (h, host) in hosts.iter_mut().enumerate() {
-            let demands: Vec<_> = if healing {
-                ids[h].iter().map(|id| host.demand(*id, 20)).collect()
-            } else {
-                let mut picks = Vec::new();
-                for id in &ids[h] {
-                    if rng.unit() > 0.4 {
-                        picks.push(host.demand(*id, rng.range_u64(4, 20) as u32));
-                    }
-                }
-                picks
-            };
+            let demands = churn_demands(host, &ids[h], &mut rng, healing);
             host.step(&demands);
 
             // Bound invariant on every served view, every round.
@@ -446,56 +403,16 @@ fn run_storm(seed: u64) -> StormOutcome {
                 }
             }
 
-            let frames = host.take_fleet_frames();
-            let frames: Vec<Vec<u8>> = if h == 0 && !healing && plan.partitioned(round) {
-                out.partition_frames_dropped += frames.len() as u64;
-                Vec::new()
-            } else if h == 3 && !healing {
+            let mut frames = host.take_fleet_frames();
+            if h == 3 && !healing {
                 // The drop axis: seeded random frame loss.
-                frames
-                    .into_iter()
-                    .filter(|_| {
-                        let keep = rng.unit() > 0.15;
-                        if !keep {
-                            out.random_frames_dropped += 1;
-                        }
-                        keep
-                    })
-                    .collect()
-            } else if h == 1 && !healing {
-                for frame in frames {
-                    out.lag_frames_delayed += 1;
-                    lag_queue.push(Lagged {
-                        release: round + plan.frame_lag(),
-                        frame,
-                    });
-                }
-                Vec::new()
-            } else {
-                frames
-            };
-            let mut deliver = frames;
-            if h == 1 {
-                let due: Vec<Lagged> = if healing {
-                    std::mem::take(&mut lag_queue)
-                } else {
-                    let mut due = Vec::new();
-                    lag_queue.retain_mut(|l| {
-                        if l.release <= round {
-                            due.push(Lagged {
-                                release: l.release,
-                                frame: std::mem::take(&mut l.frame),
-                            });
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    due
-                };
-                deliver.extend(due.into_iter().map(|l| l.frame));
+                frames.retain(|_| {
+                    let keep = rng.unit() > 0.15;
+                    out.random_frames_dropped += u64::from(!keep);
+                    keep
+                });
             }
-            for frame in deliver {
+            for frame in link.route(&plan, h, round, healing, frames) {
                 let target = if on_standby[h] { &standby } else { &primary };
                 let Some(resp) = target.handle_frame(&frame) else {
                     continue;
@@ -545,13 +462,7 @@ fn run_storm(seed: u64) -> StormOutcome {
         // the deposed primary has rejoined.
         if primary.is_leader() {
             if !plan.repl_lagged(round) {
-                for frame in primary.take_repl_frames() {
-                    if let Some(resp) = standby.handle_frame(&frame) {
-                        if let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) {
-                            primary.handle_repl_ack(&ack);
-                        }
-                    }
-                }
+                pump_repl(&primary, &standby);
             }
         } else if standby.is_leader() {
             if !reversed {
@@ -559,13 +470,7 @@ fn run_storm(seed: u64) -> StormOutcome {
                 standby.enable_replication();
             }
             if rejoined {
-                for frame in standby.take_repl_frames() {
-                    if let Some(resp) = primary.handle_frame(&frame) {
-                        if let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) {
-                            standby.handle_repl_ack(&ack);
-                        }
-                    }
-                }
+                pump_repl(&standby, &primary);
             }
         }
 
@@ -581,6 +486,8 @@ fn run_storm(seed: u64) -> StormOutcome {
             .max(standby.journal_fallback_bytes());
     }
 
+    out.partition_frames_dropped = link.dropped;
+    out.lag_frames_delayed = link.delayed;
     let (truth_cpu, truth_containers) = ground_truth(&hosts);
     out.truth_cpu = truth_cpu;
     out.truth_containers = truth_containers;
@@ -593,10 +500,7 @@ fn run_storm(seed: u64) -> StormOutcome {
     out.standby_io_errors = m.journal_io_errors;
     out.promotions = m.promotions;
     out.not_leader_rejects = m.not_leader_rejects;
-    out.periphery_failovers = hosts
-        .iter()
-        .map(|h| h.periphery().map(|p| p.stats().failovers).unwrap_or(0))
-        .sum();
+    out.periphery_failovers = periphery_total(&hosts, |s| s.failovers);
     out.final_epoch = standby.ctl_epoch();
     out.final_partitioned = u64::from(r.partitioned);
     out.final_cpu = r.cpu;
@@ -727,133 +631,29 @@ fn assert_storm(out: &StormOutcome, seed: u64) {
     );
 }
 
-// --- harness ---
-
-fn seed_label(seed: u64) -> String {
-    format!("seed_{seed:#x}")
-}
-
-/// Run the chaos-storm campaign and produce its report. Panics (on
-/// purpose) if any durability-ladder, lease, fencing, convergence, or
-/// same-seed-replay invariant fails.
-pub fn run(scale: f64) -> FigReport {
-    run_seeded(scale, 0)
-}
-
-/// [`run`] with this run's seeds rotated by `seed_offset`.
-pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
+/// Run the chaos-storm campaign on its seeds rotated by `seed_offset`
+/// and produce its report. Panics (on purpose) if any durability-ladder,
+/// lease, fencing, convergence, or same-seed-replay invariant fails.
+pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     // The storm's fault windows are laid out on an absolute timeline,
     // so the round count stays fixed; `scale` sizes only the soak.
     let soak_ticks = ((256.0 * scale) as u64).clamp(64, 512);
-    let run_seeds = seeds(seed_offset);
-
-    let mut soaks = Vec::new();
-    let mut storms = Vec::new();
-    for &seed in &run_seeds {
-        let s = run_soak(seed, soak_ticks);
-        assert_eq!(s, run_soak(seed, soak_ticks), "soak replay diverged");
-        assert_soak(&s, seed);
-        soaks.push(s);
-
-        let st = run_storm(seed);
-        assert_eq!(st, run_storm(seed), "storm replay diverged");
-        assert_storm(&st, seed);
-        storms.push(st);
-    }
-
-    let cols: Vec<String> = run_seeds.iter().map(|s| seed_label(*s)).collect();
-    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-
-    let mut t_soak = Table::new("soak", &cols);
-    let pick = |f: &dyn Fn(&SoakOutcome) -> f64| [f(&soaks[0]), f(&soaks[1])];
-    t_soak.push(Row::full("ticks", &pick(&|o| o.ticks as f64)));
-    t_soak.push(Row::full("appends_ok", &pick(&|o| o.appends_ok as f64)));
-    t_soak.push(Row::full("appends_err", &pick(&|o| o.appends_err as f64)));
-    t_soak.push(Row::full("torn_appends", &pick(&|o| o.torn_appends as f64)));
-    t_soak.push(Row::full("write_errors", &pick(&|o| o.write_errors as f64)));
-    t_soak.push(Row::full(
-        "no_space_errors",
-        &pick(&|o| o.no_space_errors as f64),
-    ));
-    t_soak.push(Row::full("rotted_bits", &pick(&|o| o.rotted_bits as f64)));
-    t_soak.push(Row::full("sync_stalls", &pick(&|o| o.sync_stalls as f64)));
-    t_soak.push(Row::full("crashes", &pick(&|o| o.crashes as f64)));
-    t_soak.push(Row::full(
-        "invalid_restored_views",
-        &pick(&|o| o.invalid_restored_views as f64),
-    ));
-    t_soak.push(Row::full(
-        "lost_tail_violations",
-        &pick(&|o| o.lost_tail_violations as f64),
-    ));
-
-    let mut t_storm = Table::new("storm", &cols);
-    let pick = |f: &dyn Fn(&StormOutcome) -> f64| [f(&storms[0]), f(&storms[1])];
-    t_storm.push(Row::full(
-        "bound_violations",
-        &pick(&|o| o.bound_violations as f64),
-    ));
-    t_storm.push(Row::full(
-        "host_io_errors",
-        &pick(&|o| o.host_io_errors as f64),
-    ));
-    t_storm.push(Row::full(
-        "max_degraded_hosts",
-        &pick(&|o| o.max_degraded_hosts as f64),
-    ));
-    t_storm.push(Row::full(
-        "max_fallback_bytes",
-        &pick(&|o| o.max_fallback_bytes as f64),
-    ));
-    t_storm.push(Row::full(
-        "final_degraded_hosts",
-        &pick(&|o| o.final_degraded_hosts as f64),
-    ));
-    t_storm.push(Row::full(
-        "step_down_tick",
-        &pick(&|o| o.step_down_tick as f64),
-    ));
-    t_storm.push(Row::full(
-        "last_ok_renew_tick",
-        &pick(&|o| o.last_ok_renew_tick as f64),
-    ));
-    t_storm.push(Row::full("promote_tick", &pick(&|o| o.promote_tick as f64)));
-    t_storm.push(Row::full(
-        "deposed_max_ack_epoch",
-        &pick(&|o| o.deposed_max_ack_epoch as f64),
-    ));
-    t_storm.push(Row::full("final_epoch", &pick(&|o| o.final_epoch as f64)));
-    t_storm.push(Row::full(
-        "host_restore_mismatches",
-        &pick(&|o| o.host_restore_mismatches as f64),
-    ));
-    t_storm.push(Row::full("final_cpu", &pick(&|o| o.final_cpu as f64)));
-    t_storm.push(Row::full("truth_cpu", &pick(&|o| o.truth_cpu as f64)));
-
-    let mut t_det = Table::new("determinism", &["replays_identical"]);
-    for scenario in ["soak", "storm"] {
-        t_det.push(Row::full(scenario, &[1.0]));
-    }
-
-    let mut rep = FigReport::new(
+    let mut c = Campaign::new(
         "storm",
         "chaos-storm matrix: storage faults (torn/error/full/rot/stall) composed with every \
          fleet axis; the durability ladder degrades and heals, a primary that cannot persist \
          its lease steps down before the TTL, and durable journals restore to the live index",
-    );
-    rep.tables.push(t_soak);
-    rep.tables.push(t_storm);
-    rep.tables.push(t_det);
-    rep.note(format!(
-        "seeds {:#x} and {:#x} (offset {seed_offset}); every scenario run twice per seed and \
-         asserted bit-identical",
-        run_seeds[0], run_seeds[1]
-    ));
-    rep.note(format!(
+        SEEDS,
+        seed_offset,
+    )
+    .always_naming_offset();
+    c.scenario("soak", |seed, _| run_soak(seed, soak_ticks), assert_soak);
+    c.scenario("storm", |seed, _| run_storm(seed), assert_storm);
+    c.note(format!(
         "soak ({soak_ticks} ticks): all five storage axes fired, every crash kept exactly the \
          synced prefix, and no corruption ever replayed into an invalid view"
     ));
-    rep.note(format!(
+    c.note(format!(
         "storm ({STORM_ROUNDS}+{HEAL_ROUNDS} rounds, {STORM_HOSTS} hosts): disk-full and \
          sync-stall windows flipped hosts to DurabilityLost and healed; the lease-store outage \
          stepped the primary down before its TTL (ground-truth lease arithmetic), the standby \
@@ -861,16 +661,17 @@ pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
          from its durable journal as a mirror; post-storm every journal's restore equals the \
          live index"
     ));
-    rep
+    c.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::seed_label;
 
     #[test]
     fn storm_campaign_passes_and_reports() {
-        let rep = run(0.25);
+        let rep = run(0.25, 0);
         assert_eq!(rep.tables.len(), 3);
         for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {
             assert_eq!(rep.tables[0].get("invalid_restored_views", &col), Some(0.0));

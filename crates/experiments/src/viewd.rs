@@ -10,6 +10,8 @@
 //! distributions from the daemon's own histograms plus the query
 //! accounting identity `hits + misses = queries`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
 use arv_viewd::{HostSpec, ViewServer};
@@ -70,7 +72,14 @@ pub fn run(scale: f64) -> FigReport {
     // Wire phase: replay a slice of the workload through the socket
     // protocol so the report can separate protocol overhead (the
     // dedicated wire-latency histogram) from in-process query cost.
-    let socket = std::env::temp_dir().join(format!("arv-viewd-fig-{}.sock", std::process::id()));
+    // One socket per run: concurrent runs in one process (the unit
+    // tests) must not bind, and so unlink, each other's socket.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let socket = std::env::temp_dir().join(format!(
+        "arv-viewd-fig-{}-{}.sock",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
     let wire = arv_viewd::WireServer::spawn(server.clone(), &socket).expect("bind wire socket");
     let mut wire_client = arv_viewd::WireClient::connect(wire.socket_path()).expect("wire connect");
     let wire_reads = ((128.0 * scale) as u32).max(16);
