@@ -24,6 +24,9 @@ cargo clippy -p arv-persist -- -D warnings -D clippy::unwrap_used
 echo "==> cargo clippy -p arv-telemetry (no unwraps in the observability plane)"
 cargo clippy -p arv-telemetry -- -D warnings -D clippy::unwrap_used
 
+echo "==> perfbench build (the repo benchmark compiles against the public API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -80,7 +83,7 @@ echo "==> persist bench (journal append cost, restore throughput, faulty-store o
 cargo bench -q -p arv-bench --bench persist > /dev/null
 test -s BENCH_persist.json || { echo "BENCH_persist.json missing"; exit 1; }
 
-echo "==> wire bench (5k-connection fanout, cached-read p99, reactor vs threaded engine)"
+echo "==> wire bench (5k-connection fanout, cached-read p99, reactor throughput)"
 cargo bench -q -p arv-bench --bench wire > /dev/null
 test -s BENCH_wire.json || { echo "BENCH_wire.json missing"; exit 1; }
 

@@ -110,7 +110,10 @@ struct CellState {
 }
 
 impl NsCell {
-    fn new(id: CgroupId, cpu: EffectiveCpu, mem: EffectiveMemory, tracer: Tracer) -> NsCell {
+    /// A cell for container `id` publishing the initial views of `cpu`
+    /// and `mem` at generation 0, emitting decision provenance into
+    /// `tracer` (pass [`Tracer::disabled`] for none).
+    pub fn new(id: CgroupId, cpu: EffectiveCpu, mem: EffectiveMemory, tracer: Tracer) -> NsCell {
         NsCell {
             e_cpu: AtomicU32::new(cpu.value()),
             e_mem: AtomicU64::new(mem.value().as_u64()),
@@ -340,28 +343,12 @@ impl NsCell {
 #[derive(Debug, Clone, Default)]
 pub struct LiveRegistry {
     cells: Arc<RwLock<HashMap<CgroupId, Arc<NsCell>>>>,
-    tracer: Tracer,
 }
 
 impl LiveRegistry {
     /// An empty registry.
     pub fn new() -> LiveRegistry {
         LiveRegistry::default()
-    }
-
-    /// An empty registry whose cells emit decision provenance into
-    /// `tracer`.
-    pub fn with_tracer(tracer: Tracer) -> LiveRegistry {
-        LiveRegistry {
-            cells: Arc::default(),
-            tracer,
-        }
-    }
-
-    /// The registry's tracer (disabled unless constructed via
-    /// [`with_tracer`](LiveRegistry::with_tracer)).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Register a container and get its query handle.
@@ -376,7 +363,7 @@ impl LiveRegistry {
             id,
             EffectiveCpu::new(bounds, cpu_cfg),
             mem,
-            self.tracer.clone(),
+            Tracer::disabled(),
         ));
         let prev = self
             .cells

@@ -30,7 +30,7 @@ use arv_cgroups::CgroupId;
 use arv_container::SimHost;
 use arv_resview::Sysconf;
 use arv_sim_core::{FaultConfig, FaultPlan};
-use arv_viewd::{ViewServer, WireClient, WireLimits, WireServer, KIND_STATS};
+use arv_viewd::{ServerConfig, ViewServer, WireClient, WireServer, KIND_STATS};
 
 use crate::campaign::{
     cpu_floor, outside_bounds, paper_spec, report_fields, step_solo, Campaign, WallClock,
@@ -337,15 +337,15 @@ fn run_flood(seed: u64, replay: u32, clients: u32) -> FloodOutcome {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&socket);
-    let limits = WireLimits {
-        max_connections: clients as usize + 4,
-        rate_burst: RATE_BURST,
-        rate_refill_per_sec: 0.0,
-        retry_after_ms: 5 + seed % 16,
-        ..WireLimits::default()
-    };
+    let config = ServerConfig::builder()
+        .max_connections(clients as usize + 4)
+        .rate_burst(RATE_BURST)
+        .rate_refill_per_sec(0.0)
+        .retry_after_ms(5 + seed % 16)
+        .build()
+        .expect("valid wire config");
     let wire =
-        WireServer::spawn_with_limits(server.clone(), &socket, limits).expect("spawn wire server");
+        WireServer::spawn_with_config(server.clone(), &socket, config).expect("spawn wire server");
 
     // Well-behaved reader: spend the burst priming one image, then keep
     // re-reading it while over budget — cached-generation reads are

@@ -119,7 +119,8 @@ pub const HEALTH_DURABILITY_LOST: u8 = 0x80;
 const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8 + 8;
 
 /// The policy a controller pushes down to every periphery: the fleet
-/// analogue of the per-host staleness budget and `WireLimits`.
+/// analogue of the per-host staleness budget and viewd's `ServerConfig`
+/// admission knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetPolicy {
     /// Monotone policy generation; peripheries adopt strictly newer.
@@ -130,7 +131,7 @@ pub struct FleetPolicy {
     pub staleness_budget: u64,
     /// Max delta entries per DELTA frame (peripheries chunk above it).
     pub max_batch: u32,
-    /// Advisory periphery send burst (WireLimits `rate_burst` analogue).
+    /// Advisory periphery send burst (`ServerConfig::rate_burst` analogue).
     pub rate_burst: u32,
 }
 

@@ -1,26 +1,30 @@
 //! Validated serving-tier configuration: one [`ServerConfig`] builder
-//! folding the admission-control knobs ([`crate::wire::WireLimits`])
-//! together with the reactor's sizing (event-loop count, connection
-//! slabs, outbound queues).
+//! holding the admission-control knobs (connection cap, token bucket,
+//! write deadline, shed hint) together with the reactor's sizing
+//! (event-loop count, connection slabs, outbound queues).
 //!
 //! Both wire servers — viewd's and the fleet controller's — are spawned
-//! from a `ServerConfig`, replacing the old positional constructors.
-//! The builder validates at `build()` so a nonsense configuration (zero
-//! loops, a queue cap smaller than a frame) fails loudly at startup
-//! instead of wedging the daemon under load.
+//! from a `ServerConfig`. The builder validates at `build()` so a
+//! nonsense configuration (zero loops, a queue cap smaller than a
+//! frame) fails loudly at startup instead of wedging the daemon under
+//! load.
 
 use std::io;
 use std::time::Duration;
 
-use crate::wire::{WireLimits, MAX_RESPONSE};
+use crate::wire::{DEFAULT_RETRY_AFTER_MS, MAX_RESPONSE};
 
 /// Full serving-tier configuration: admission control plus reactor
-/// sizing. Construct via [`ServerConfig::builder`] (validated) or from
-/// a plain [`WireLimits`] (reactor knobs defaulted).
+/// sizing. Construct via [`ServerConfig::builder`] (validated).
+///
+/// The admission defaults are deliberately generous — a daemon that
+/// never sees a flood behaves exactly as one with no limits at all.
+/// Tighten them to model (or survive) overload.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Concurrently served connections; accepts beyond this are closed
-    /// immediately and counted dropped.
+    /// immediately (the app-level bound on the accept backlog) and
+    /// counted in `connections_dropped`.
     pub max_connections: usize,
     /// Token-bucket burst per connection: requests served at full
     /// service before shedding starts.
@@ -29,7 +33,7 @@ pub struct ServerConfig {
     /// the burst is all a connection ever gets (deterministic in tests).
     pub rate_refill_per_sec: f64,
     /// How long a response write may stall before the connection is
-    /// evicted as a slow client.
+    /// evicted as a slow client (counted in `conns_evicted_slow`).
     pub write_deadline: Duration,
     /// Retry-after hint carried in `OK_SHED` responses, milliseconds.
     pub retry_after_ms: u64,
@@ -39,33 +43,23 @@ pub struct ServerConfig {
     /// handoff and the connection is dropped (counted).
     pub slab_capacity: usize,
     /// Outbound queue bytes per connection before the peer is evicted
-    /// as too slow to drain its responses (queue-depth eviction — the
-    /// reactor's analogue of the threaded tier's write-deadline kill).
+    /// as too slow to drain its responses (queue-depth eviction, the
+    /// second trigger beside the write-stall clock).
     pub outbound_queue_cap: usize,
-    /// Serve with the legacy thread-per-connection engine instead of
-    /// the reactor. Kept for apples-to-apples benchmarking
-    /// (`BENCH_wire.json` compares both) and as a fallback.
-    pub threaded: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig::from(WireLimits::default())
-    }
-}
-
-impl From<WireLimits> for ServerConfig {
-    fn from(limits: WireLimits) -> ServerConfig {
+        let max_connections = 64;
         ServerConfig {
-            max_connections: limits.max_connections,
-            rate_burst: limits.rate_burst,
-            rate_refill_per_sec: limits.rate_refill_per_sec,
-            write_deadline: limits.write_deadline,
-            retry_after_ms: limits.retry_after_ms,
+            max_connections,
+            rate_burst: 1 << 16,
+            rate_refill_per_sec: 1_000_000.0,
+            write_deadline: Duration::from_secs(2),
+            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
             loops: default_loops(),
-            slab_capacity: limits.max_connections.max(1),
+            slab_capacity: max_connections,
             outbound_queue_cap: 4 * MAX_RESPONSE as usize,
-            threaded: false,
         }
     }
 }
@@ -84,18 +78,6 @@ impl ServerConfig {
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder {
             cfg: ServerConfig::default(),
-        }
-    }
-
-    /// The admission-control subset, for code that still speaks
-    /// [`WireLimits`].
-    pub fn limits(&self) -> WireLimits {
-        WireLimits {
-            max_connections: self.max_connections,
-            rate_burst: self.rate_burst,
-            rate_refill_per_sec: self.rate_refill_per_sec,
-            write_deadline: self.write_deadline,
-            retry_after_ms: self.retry_after_ms,
         }
     }
 
@@ -196,24 +178,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Use the legacy thread-per-connection engine instead of the
-    /// reactor.
-    pub fn threaded(mut self, threaded: bool) -> Self {
-        self.cfg.threaded = threaded;
-        self
-    }
-
-    /// Seed the admission-control knobs from a [`WireLimits`].
-    pub fn limits(mut self, limits: WireLimits) -> Self {
-        self.cfg.max_connections = limits.max_connections;
-        self.cfg.rate_burst = limits.rate_burst;
-        self.cfg.rate_refill_per_sec = limits.rate_refill_per_sec;
-        self.cfg.write_deadline = limits.write_deadline;
-        self.cfg.retry_after_ms = limits.retry_after_ms;
-        self.cfg.slab_capacity = self.cfg.slab_capacity.max(limits.max_connections);
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> io::Result<ServerConfig> {
         self.cfg.validate()?;
@@ -263,9 +227,14 @@ mod tests {
     fn defaults_validate() {
         ServerConfig::default().validate().unwrap();
         let cfg = ServerConfig::builder().build().unwrap();
-        assert!(!cfg.threaded);
         assert!(cfg.loops >= 1);
-        assert_eq!(cfg.max_connections, WireLimits::default().max_connections);
+        assert_eq!(cfg.max_connections, 64);
+        assert_eq!(cfg.slab_capacity, 64);
+        assert_eq!(cfg.rate_burst, 1 << 16);
+        assert_eq!(cfg.rate_refill_per_sec, 1_000_000.0);
+        assert_eq!(cfg.write_deadline, Duration::from_secs(2));
+        assert_eq!(cfg.retry_after_ms, DEFAULT_RETRY_AFTER_MS);
+        assert_eq!(cfg.outbound_queue_cap, 4 * MAX_RESPONSE as usize);
     }
 
     #[test]
@@ -297,23 +266,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(cfg.slab_capacity >= 5000, "slab holds the whole cap");
-    }
-
-    #[test]
-    fn limits_round_trip() {
-        let limits = WireLimits {
-            max_connections: 3,
-            rate_burst: 9,
-            rate_refill_per_sec: 0.0,
-            write_deadline: Duration::from_millis(40),
-            retry_after_ms: 11,
-        };
-        let cfg = ServerConfig::from(limits);
-        let back = cfg.limits();
-        assert_eq!(back.max_connections, 3);
-        assert_eq!(back.rate_burst, 9);
-        assert_eq!(back.retry_after_ms, 11);
-        assert_eq!(back.write_deadline, Duration::from_millis(40));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{
-    render, CpuBounds, EffectiveCpuConfig, EffectiveMemory, LiveRegistry, NsCell, StalenessPolicy,
+    render, CpuBounds, EffectiveCpu, EffectiveCpuConfig, EffectiveMemory, NsCell, StalenessPolicy,
     Sysconf, ViewHealth, ViewSnapshot, PAGE_SIZE,
 };
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PromText, Tracer};
@@ -71,7 +71,6 @@ pub struct ViewImage {
 }
 
 struct ServerInner {
-    live: LiveRegistry,
     shards: ShardedRegistry,
     host: HostSpec,
     host_images: HashMap<&'static str, Arc<String>>,
@@ -149,7 +148,6 @@ impl ViewServer {
         host_images.insert("/sys/devices/system/cpu/present", cpu_list);
         ViewServer {
             inner: Arc::new(ServerInner {
-                live: LiveRegistry::with_tracer(tracer.clone()),
                 shards: ShardedRegistry::new(shards),
                 host,
                 host_images,
@@ -198,9 +196,11 @@ impl ViewServer {
         }
     }
 
-    /// Register a container; the returned cell is shared with the
-    /// registry (updaters apply samples through it or through
-    /// [`arv_resview::LiveMonitor`] on [`ViewServer::live_registry`]).
+    /// Register a container. Its cell emits into this server's
+    /// [`tracer`](ViewServer::tracer) and is held by the sharded
+    /// registry; the returned handle shares it, and updaters publish
+    /// through it (or through [`mirror`](ViewServer::mirror)). Panics if
+    /// `id` is already registered.
     pub fn register(
         &self,
         id: CgroupId,
@@ -208,7 +208,12 @@ impl ViewServer {
         cpu_cfg: EffectiveCpuConfig,
         mem: EffectiveMemory,
     ) -> Arc<NsCell> {
-        let cell = self.inner.live.register(id, bounds, cpu_cfg, mem);
+        let cell = Arc::new(NsCell::new(
+            id,
+            EffectiveCpu::new(bounds, cpu_cfg),
+            mem,
+            self.inner.tracer.clone(),
+        ));
         self.inner.shards.insert(id, Arc::clone(&cell));
         cell
     }
@@ -216,13 +221,6 @@ impl ViewServer {
     /// Remove a container (its cell stays valid for outstanding holders).
     pub fn unregister(&self, id: CgroupId) {
         self.inner.shards.remove(id);
-        self.inner.live.unregister(id);
-    }
-
-    /// The underlying live registry, e.g. to spawn a
-    /// [`arv_resview::LiveMonitor`] updating every registered cell.
-    pub fn live_registry(&self) -> LiveRegistry {
-        self.inner.live.clone()
     }
 
     /// Number of registered containers.

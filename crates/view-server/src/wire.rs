@@ -22,21 +22,18 @@
 //! ```
 //!
 //! One connection carries any number of request/response pairs in order;
-//! concurrent clients each get their own connection. Two serving
-//! engines exist behind the one [`WireServer`] API: the default
-//! readiness-driven [`crate::reactor`] (sharded epoll event loops,
-//! nonblocking connection slabs, cached images written as shared `Arc`
-//! slices with zero per-request copies) and the legacy
-//! thread-per-connection engine, kept behind
-//! [`crate::config::ServerConfig::threaded`] for apples-to-apples
-//! benchmarking.
+//! concurrent clients each get their own connection. [`WireServer`]
+//! serves them on the readiness-driven [`crate::reactor`] (sharded epoll
+//! event loops, nonblocking connection slabs, cached images written as
+//! shared `Arc` slices with zero per-request copies).
 //!
 //! # Overload protection
 //!
-//! The listener enforces [`WireLimits`]: a cap on concurrently served
-//! connections (excess accepts are closed immediately), a per-connection
-//! token bucket, a write deadline that evicts clients too slow to drain
-//! their responses, and two-tier load shedding. When a connection runs
+//! The listener enforces the admission knobs of [`ServerConfig`]: a cap
+//! on concurrently served connections (excess accepts are closed
+//! immediately), a per-connection token bucket, slow-client eviction
+//! (outbound queue depth or a write stalled past the deadline), and
+//! two-tier load shedding. When a connection runs
 //! out of tokens, requests answerable from a cached render (and cheap
 //! sysconf scalars) are still served, while work that would render,
 //! walk the trace ring, or build a stats exposition is refused with
@@ -58,15 +55,13 @@ use arv_cgroups::CgroupId;
 use arv_resview::Sysconf;
 use std::collections::HashMap;
 use std::io;
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::codec::{read_frame, server_read_frame, write_frame, ServerRead, Transport, Verdict};
-use crate::config::{ServerConfig, TokenBucket};
+use crate::codec::{read_frame, write_frame, Transport, Verdict};
+use crate::config::ServerConfig;
 use crate::reactor::{EvictReason, FrameService, Reactor, Response, ResponseBody, ServiceAction};
 use crate::server::{ViewClient, ViewImage, ViewServer};
 
@@ -127,6 +122,7 @@ fn encode_request(kind: u8, raw_caller: u32, key: &str) -> Vec<u8> {
     payload
 }
 
+#[cfg(test)]
 fn encode_response(status: u8, generation: u64, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(9 + body.len());
     out.push(status);
@@ -181,186 +177,6 @@ pub fn parse_response(resp: &[u8]) -> io::Result<Option<WireResponse>> {
     }
 }
 
-/// Admission-control knobs for a [`WireServer`].
-///
-/// The defaults are deliberately generous — a daemon that never sees a
-/// flood behaves exactly as one with no limits at all. Tighten them to
-/// model (or survive) overload.
-#[derive(Debug, Clone, Copy)]
-pub struct WireLimits {
-    /// Concurrently served connections; accepts beyond this are closed
-    /// immediately (the app-level bound on the accept backlog) and
-    /// counted in `connections_dropped`.
-    pub max_connections: usize,
-    /// Token-bucket burst per connection: requests served at full
-    /// service before shedding starts.
-    pub rate_burst: u32,
-    /// Token refill rate per connection, tokens per second. Zero means
-    /// the burst is all a connection ever gets (deterministic in tests).
-    pub rate_refill_per_sec: f64,
-    /// How long a response write may stall before the connection is
-    /// evicted as a slow client (counted in `conns_evicted_slow`).
-    pub write_deadline: Duration,
-    /// Retry-after hint carried in `OK_SHED` responses, milliseconds.
-    pub retry_after_ms: u64,
-}
-
-impl Default for WireLimits {
-    fn default() -> WireLimits {
-        WireLimits {
-            max_connections: 64,
-            rate_burst: 1 << 16,
-            rate_refill_per_sec: 1_000_000.0,
-            write_deadline: Duration::from_secs(2),
-            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-        }
-    }
-}
-
-/// An `OK_SHED` response carrying the retry-after hint.
-fn shed_response(retry_after_ms: u64) -> Vec<u8> {
-    encode_response(STATUS_OK_SHED, 0, retry_after_ms.to_string().as_bytes())
-}
-
-/// Handle one connection until EOF, error, eviction, or server shutdown.
-fn serve_connection(
-    server: &ViewServer,
-    mut stream: UnixStream,
-    stop: &AtomicBool,
-    limits: WireLimits,
-) -> io::Result<()> {
-    let client = server.client();
-    let mut bucket = TokenBucket::new(limits.rate_burst, limits.rate_refill_per_sec);
-    loop {
-        let req = match server_read_frame(&mut stream, MAX_REQUEST) {
-            Ok(ServerRead::Frame(req)) => req,
-            Ok(ServerRead::Eof) => return Ok(()),
-            Ok(ServerRead::Idle) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
-            }
-            // Oversized or torn frame: count it, drop only this
-            // connection — other clients are unaffected.
-            Err(e) => {
-                server
-                    .metrics_ref()
-                    .wire_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
-        // Check the stop flag per frame, not just on idle polls: a
-        // client in a steady request loop would otherwise keep this
-        // thread alive (and served) forever, and shutdown() joins it.
-        // Dropping the request closes the connection; the peer sees EOF
-        // and treats it like any other server failure.
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        server
-            .metrics_ref()
-            .wire_requests
-            .fetch_add(1, Ordering::Relaxed);
-        let started = std::time::Instant::now();
-        // Out of tokens: two-tier shedding. Tier 1 (cached-generation
-        // reads, sysconf scalars) is still served — those are the reads
-        // resource probing depends on and they cost no render. Tier 2
-        // (render misses, stats expositions, trace walks) is refused
-        // with a retry-after hint.
-        let pressured = !bucket.take();
-        let response = match decode_request(&req) {
-            Some((KIND_READ, caller, key)) if pressured => match client.read_cached(caller, key) {
-                Some(view) => {
-                    let status = if view.health.is_degraded() {
-                        STATUS_OK_DEGRADED
-                    } else {
-                        STATUS_OK
-                    };
-                    encode_response(status, view.generation, view.image.as_bytes())
-                }
-                None => {
-                    server
-                        .metrics_ref()
-                        .requests_shed
-                        .fetch_add(1, Ordering::Relaxed);
-                    shed_response(limits.retry_after_ms)
-                }
-            },
-            Some((KIND_STATS | KIND_TRACE, _, _)) if pressured => {
-                server
-                    .metrics_ref()
-                    .requests_shed
-                    .fetch_add(1, Ordering::Relaxed);
-                shed_response(limits.retry_after_ms)
-            }
-            Some((KIND_READ, caller, key)) => match client.read(caller, key) {
-                Some(view) => {
-                    let status = if view.health.is_degraded() {
-                        STATUS_OK_DEGRADED
-                    } else {
-                        STATUS_OK
-                    };
-                    encode_response(status, view.generation, view.image.as_bytes())
-                }
-                None => encode_response(STATUS_NOT_FOUND, 0, &[]),
-            },
-            Some((KIND_SYSCONF, caller, key)) => match sysconf_key(key) {
-                Some(q) => {
-                    let value = client.sysconf(caller, q);
-                    let generation = caller.and_then(|id| client.generation(id)).unwrap_or(0);
-                    let status = if client.health(caller).is_degraded() {
-                        STATUS_OK_DEGRADED
-                    } else {
-                        STATUS_OK
-                    };
-                    encode_response(status, generation, value.to_string().as_bytes())
-                }
-                None => encode_response(STATUS_NOT_FOUND, 0, &[]),
-            },
-            Some((KIND_STATS, _, _)) => {
-                let body = clamp_text_body(server.prometheus_exposition());
-                encode_response(STATUS_OK, 0, body.as_bytes())
-            }
-            Some((KIND_TRACE, caller, _)) => {
-                let rendered = match caller {
-                    Some(id) => server.tracer().render_timeline(id),
-                    None => server.tracer().render_full(),
-                };
-                let body = clamp_text_body(rendered);
-                encode_response(STATUS_OK, 0, body.as_bytes())
-            }
-            _ => {
-                server
-                    .metrics_ref()
-                    .wire_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                encode_response(STATUS_NOT_FOUND, 0, &[])
-            }
-        };
-        server
-            .metrics_ref()
-            .wire_latency
-            .record(started.elapsed().as_nanos() as u64);
-        if let Err(e) = write_frame(&mut stream, &response) {
-            // A write stalling past the deadline is a slow client
-            // hogging a connection slot: evict it. Other write errors
-            // (peer gone) just close the connection as before.
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) {
-                server
-                    .metrics_ref()
-                    .conns_evicted_slow
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(e);
-        }
-    }
-}
-
 /// Clamp a rendered text body under the response-frame cap, keeping the
 /// tail — for traces the newest events are the interesting end.
 fn clamp_text_body(text: String) -> String {
@@ -401,9 +217,9 @@ fn response_head(status: u8, generation: u64) -> [u8; 9] {
     head
 }
 
-/// viewd's protocol plugged into the [`Reactor`]: the exact two-tier
-/// shed semantics of the threaded path, with cached file images queued
-/// as shared `Arc` slices — no per-request body copies.
+/// viewd's protocol plugged into the [`Reactor`]: two-tier shedding
+/// under admission pressure, with cached file images queued as shared
+/// `Arc` slices — no per-request body copies.
 struct ViewdService {
     server: ViewServer,
     client: ViewClient,
@@ -457,10 +273,11 @@ impl FrameService for ViewdService {
         let metrics = self.server.metrics_ref();
         metrics.wire_requests.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
-        // Out of tokens: two-tier shedding, same as the threaded path.
-        // Tier 1 (cached-generation reads, sysconf scalars) is still
-        // served; tier 2 (render misses, stats expositions, trace
-        // walks) is refused with a retry-after hint.
+        // Out of tokens: two-tier shedding. Tier 1 (cached-generation
+        // reads, sysconf scalars) is still served — those are the reads
+        // resource probing depends on and they cost no render. Tier 2
+        // (render misses, stats expositions, trace walks) is refused
+        // with a retry-after hint.
         let response = match decode_request(request) {
             Some((KIND_READ, caller, key)) if pressured => {
                 match self.client.read_cached(caller, key) {
@@ -543,9 +360,9 @@ impl FrameService for ViewdService {
 
     fn on_evicted(&self, reason: EvictReason) {
         let metrics = self.server.metrics_ref();
-        // Both flavours are "client too slow to drain its responses";
-        // the legacy counter keeps covering the union so dashboards and
-        // existing assertions survive the engine swap.
+        // Both flavours are "client too slow to drain its responses":
+        // `conns_evicted_slow` counts the union, `conns_evicted_backlog`
+        // the queue-depth subset.
         metrics.conns_evicted_slow.fetch_add(1, Ordering::Relaxed);
         if reason == EvictReason::QueueDepth {
             metrics
@@ -556,187 +373,42 @@ impl FrameService for ViewdService {
 }
 
 /// The listening daemon front-end: accepts connections on a Unix socket
-/// and serves them until shut down. Two engines exist behind this one
-/// API — the default readiness-driven [`Reactor`] and the legacy
-/// thread-per-connection engine ([`ServerConfig::threaded`]), kept for
-/// apples-to-apples benchmarking.
+/// and serves them on the readiness [`Reactor`] until shut down.
 #[derive(Debug)]
 pub struct WireServer {
-    engine: Engine,
-}
-
-#[derive(Debug)]
-enum Engine {
-    Reactor(Reactor),
-    Threaded {
-        stop: Arc<AtomicBool>,
-        accept_handle: Option<JoinHandle<()>>,
-        socket_path: PathBuf,
-    },
+    reactor: Reactor,
 }
 
 impl WireServer {
     /// Bind `socket_path` with the default [`ServerConfig`] (generous
-    /// limits, reactor engine).
+    /// limits).
     pub fn spawn(server: ViewServer, socket_path: impl AsRef<Path>) -> io::Result<WireServer> {
         WireServer::spawn_with_config(server, socket_path, ServerConfig::default())
     }
 
-    /// Bind `socket_path` under `limits`, with every reactor knob
-    /// defaulted ([`ServerConfig::from`]).
-    pub fn spawn_with_limits(
-        server: ViewServer,
-        socket_path: impl AsRef<Path>,
-        limits: WireLimits,
-    ) -> io::Result<WireServer> {
-        WireServer::spawn_with_config(server, socket_path, ServerConfig::from(limits))
-    }
-
     /// Bind `socket_path` (removing any stale socket file first) and
-    /// start serving under `config`, validated first. The engine is the
-    /// readiness reactor unless [`ServerConfig::threaded`] asks for the
-    /// legacy thread-per-connection path. Fails if the configuration is
-    /// invalid, the socket can't be bound, or the serving threads can't
-    /// be spawned; per-connection failures after that are absorbed and
-    /// counted, never panicked on.
+    /// start serving under `config`, validated first. Fails if the
+    /// configuration is invalid, the socket can't be bound, or the
+    /// serving threads can't be spawned; per-connection failures after
+    /// that are absorbed and counted, never panicked on.
     pub fn spawn_with_config(
         server: ViewServer,
         socket_path: impl AsRef<Path>,
         config: ServerConfig,
     ) -> io::Result<WireServer> {
-        config.validate()?;
-        if config.threaded {
-            return WireServer::spawn_threaded(server, socket_path, config.limits());
-        }
         let service = Arc::new(ViewdService::new(server, config.retry_after_ms));
         let reactor = Reactor::spawn(service, socket_path, config)?;
-        Ok(WireServer {
-            engine: Engine::Reactor(reactor),
-        })
-    }
-
-    fn spawn_threaded(
-        server: ViewServer,
-        socket_path: impl AsRef<Path>,
-        limits: WireLimits,
-    ) -> io::Result<WireServer> {
-        let socket_path = socket_path.as_ref().to_path_buf();
-        let _ = std::fs::remove_file(&socket_path);
-        let listener = UnixListener::bind(&socket_path)?;
-        // Nonblocking accept so the loop can observe the stop flag.
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let accept_handle = std::thread::Builder::new()
-            .name("arv-viewd-accept".into())
-            .spawn(move || {
-                let active = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-                let mut workers: Vec<JoinHandle<()>> = Vec::new();
-                while !stop2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _addr)) => {
-                            server
-                                .metrics_ref()
-                                .connections_accepted
-                                .fetch_add(1, Ordering::Relaxed);
-                            // Connection cap: the app-level bound on the
-                            // accept backlog. Closing the stream is the
-                            // refusal — the peer sees EOF.
-                            if active.load(Ordering::Acquire) >= limits.max_connections {
-                                server
-                                    .metrics_ref()
-                                    .connections_dropped
-                                    .fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                // Blocking reads with a short timeout:
-                                // the connection thread polls the stop
-                                // flag between frames, so shutdown can
-                                // always join it. The write deadline is
-                                // the slow-client eviction trigger.
-                                let _ = stream.set_nonblocking(false);
-                                let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-                                let _ = stream.set_write_timeout(Some(limits.write_deadline));
-                                let conn_server = server.clone();
-                                let stop3 = Arc::clone(&stop2);
-                                active.fetch_add(1, Ordering::AcqRel);
-                                let active2 = Arc::clone(&active);
-                                let spawned = std::thread::Builder::new()
-                                    .name("arv-viewd-conn".into())
-                                    .spawn(move || {
-                                        let _ =
-                                            serve_connection(&conn_server, stream, &stop3, limits);
-                                        active2.fetch_sub(1, Ordering::AcqRel);
-                                    });
-                                match spawned {
-                                    Ok(handle) => workers.push(handle),
-                                    // Out of threads: shed this
-                                    // connection (closing the stream
-                                    // tells the peer) and keep the
-                                    // daemon alive.
-                                    Err(_) => {
-                                        active.fetch_sub(1, Ordering::AcqRel);
-                                        server
-                                            .metrics_ref()
-                                            .connections_dropped
-                                            .fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
-                    }
-                    workers.retain(|w| !w.is_finished());
-                }
-                for w in workers {
-                    let _ = w.join();
-                }
-            })?;
-        Ok(WireServer {
-            engine: Engine::Threaded {
-                stop,
-                accept_handle: Some(accept_handle),
-                socket_path,
-            },
-        })
+        Ok(WireServer { reactor })
     }
 
     /// The socket path clients connect to.
     pub fn socket_path(&self) -> &Path {
-        match &self.engine {
-            Engine::Reactor(r) => r.socket_path(),
-            Engine::Threaded { socket_path, .. } => socket_path,
-        }
+        self.reactor.socket_path()
     }
 
     /// Stop accepting, wait for in-flight connections, unlink the socket.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        match &mut self.engine {
-            Engine::Reactor(r) => r.shutdown(),
-            Engine::Threaded {
-                stop,
-                accept_handle,
-                socket_path,
-            } => {
-                stop.store(true, Ordering::Release);
-                if let Some(h) = accept_handle.take() {
-                    let _ = h.join();
-                }
-                let _ = std::fs::remove_file(socket_path);
-            }
-        }
-    }
-}
-
-impl Drop for WireServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.reactor.shutdown();
     }
 }
 
@@ -1039,6 +711,8 @@ mod tests {
     use arv_cgroups::Bytes;
     use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
     use std::io::{Read, Write};
+    use std::path::PathBuf;
+    use std::time::Duration;
 
     /// Unwrap with context: chaos-style tests issue the same call dozens
     /// of times across opcodes and seeds, and a bare `unwrap()` failure
@@ -1093,15 +767,8 @@ mod tests {
         (server, wire, id)
     }
 
-    fn spawn_server_with_limits(
-        tag: &str,
-        limits: WireLimits,
-    ) -> (ViewServer, WireServer, CgroupId) {
-        spawn_server_with_config(tag, ServerConfig::from(limits))
-    }
-
     fn spawn_server(tag: &str) -> (ViewServer, WireServer, CgroupId) {
-        spawn_server_with_limits(tag, WireLimits::default())
+        spawn_server_with_config(tag, ServerConfig::default())
     }
 
     #[test]
@@ -1375,13 +1042,15 @@ mod tests {
 
     #[test]
     fn over_rate_requests_shed_but_cached_reads_survive() {
-        let limits = WireLimits {
-            rate_burst: 2,
-            rate_refill_per_sec: 0.0,
-            retry_after_ms: 7,
-            ..WireLimits::default()
-        };
-        let (server, wire, id) = spawn_server_with_limits("shedtiers", limits);
+        let cfg = expect(
+            ServerConfig::builder()
+                .rate_burst(2)
+                .rate_refill_per_sec(0.0)
+                .retry_after_ms(7)
+                .build(),
+            "build shedtiers config",
+        );
+        let (server, wire, id) = spawn_server_with_config("shedtiers", cfg);
         let mut client = expect(WireClient::connect(wire.socket_path()), "connect shedtiers");
         // Token 1: render + cache /proc/cpuinfo. Token 2: a stats call.
         let first = expect_some(
@@ -1425,11 +1094,11 @@ mod tests {
 
     #[test]
     fn connection_cap_closes_excess_accepts() {
-        let limits = WireLimits {
-            max_connections: 1,
-            ..WireLimits::default()
-        };
-        let (server, wire, id) = spawn_server_with_limits("conncap", limits);
+        let cfg = expect(
+            ServerConfig::builder().max_connections(1).build(),
+            "build conncap config",
+        );
+        let (server, wire, id) = spawn_server_with_config("conncap", cfg);
         let mut first = expect(WireClient::connect(wire.socket_path()), "connect first");
         // Serve one request so the first connection is surely active.
         assert_eq!(
@@ -1456,11 +1125,13 @@ mod tests {
 
     #[test]
     fn slow_client_is_evicted_at_the_write_deadline() {
-        let limits = WireLimits {
-            write_deadline: Duration::from_millis(25),
-            ..WireLimits::default()
-        };
-        let (server, wire, _id) = spawn_server_with_limits("slow", limits);
+        let cfg = expect(
+            ServerConfig::builder()
+                .write_deadline(Duration::from_millis(25))
+                .build(),
+            "build slow config",
+        );
+        let (server, wire, _id) = spawn_server_with_config("slow", cfg);
         let stream = expect(UnixStream::connect(wire.socket_path()), "connect slow");
         let mut writer = stream;
         expect(
@@ -1493,13 +1164,15 @@ mod tests {
 
     #[test]
     fn shed_burst_does_not_open_the_breaker() {
-        let limits = WireLimits {
-            rate_burst: 1,
-            rate_refill_per_sec: 0.0,
-            retry_after_ms: 1,
-            ..WireLimits::default()
-        };
-        let (server, wire, id) = spawn_server_with_limits("shedburst", limits);
+        let cfg = expect(
+            ServerConfig::builder()
+                .rate_burst(1)
+                .rate_refill_per_sec(0.0)
+                .retry_after_ms(1)
+                .build(),
+            "build shedburst config",
+        );
+        let (server, wire, id) = spawn_server_with_config("shedburst", cfg);
         let policy = RetryPolicy {
             breaker_threshold: 1,
             ..RetryPolicy::fast_test()
@@ -1542,35 +1215,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_serves_behind_the_same_api() {
-        let cfg = expect(
-            ServerConfig::builder().threaded(true).build(),
-            "build threaded config",
-        );
-        let (server, wire, id) = spawn_server_with_config("threaded", cfg);
-        let mut client = expect(WireClient::connect(wire.socket_path()), "connect threaded");
-        let resp = expect_some(
-            expect(client.read(Some(id), "/proc/cpuinfo"), "threaded read"),
-            "threaded read body",
-        );
-        let text = expect(String::from_utf8(resp.body), "utf8 body");
-        assert_eq!(text.matches("processor").count(), 4);
-        assert_eq!(
-            expect(client.sysconf(Some(id), "pagesize"), "threaded sysconf"),
-            Some(4096)
-        );
-        assert!(server.metrics().wire_requests >= 2);
-        wire.shutdown();
-    }
-
-    #[test]
     fn invalid_config_is_refused_at_spawn() {
         let server = ViewServer::new(HostSpec::paper_testbed(), 8);
         let bad = ServerConfig {
             loops: 0,
             ..ServerConfig::default()
         };
-        assert!(WireServer::spawn_with_config(server, test_socket("badcfg"), bad).is_err());
+        let err = WireServer::spawn_with_config(server, test_socket("badcfg"), bad).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
