@@ -87,6 +87,10 @@ echo "==> wire bench (5k-connection fanout, cached-read p99, reactor throughput)
 cargo bench -q -p arv-bench --bench wire > /dev/null
 test -s BENCH_wire.json || { echo "BENCH_wire.json missing"; exit 1; }
 
+echo "==> pipeline bench (tick and limit-update cost scale with N: 8k/1k ratio gates)"
+cargo bench -q -p arv-bench --bench pipeline > /dev/null
+test -s BENCH_pipeline.json || { echo "BENCH_pipeline.json missing"; exit 1; }
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 

@@ -50,6 +50,8 @@ pub struct CgroupManager {
     groups: BTreeMap<CgroupId, CgroupSpec>,
     next_id: u32,
     events: Vec<CgroupEvent>,
+    /// Running `Σ cpu.shares` over `groups`, kept by every mutation.
+    total_shares: u64,
 }
 
 impl CgroupManager {
@@ -63,6 +65,7 @@ impl CgroupManager {
         let id = CgroupId(self.next_id);
         self.next_id += 1;
         self.groups.insert(id, spec);
+        self.total_shares += spec.cpu.shares;
         self.events.push(CgroupEvent::Created(id));
         id
     }
@@ -70,7 +73,8 @@ impl CgroupManager {
     /// Remove a cgroup. Returns the spec it had, or `None` if unknown.
     pub fn remove(&mut self, id: CgroupId) -> Option<CgroupSpec> {
         let spec = self.groups.remove(&id);
-        if spec.is_some() {
+        if let Some(old) = &spec {
+            self.total_shares -= old.cpu.shares;
             self.events.push(CgroupEvent::Removed(id));
         }
         spec
@@ -82,6 +86,7 @@ impl CgroupManager {
     pub fn update(&mut self, id: CgroupId, spec: CgroupSpec) -> bool {
         match self.groups.get_mut(&id) {
             Some(slot) => {
+                self.total_shares = self.total_shares - slot.cpu.shares + spec.cpu.shares;
                 *slot = spec;
                 self.events.push(CgroupEvent::Updated(id));
                 true
@@ -116,9 +121,10 @@ impl CgroupManager {
     }
 
     /// Sum of `cpu.shares` over all live cgroups — the `Σ w_j` of
-    /// Algorithm 1.
+    /// Algorithm 1. O(1): the sum is kept as cgroups come, go and
+    /// change.
     pub fn total_shares(&self) -> u64 {
-        self.groups.values().map(|s| s.cpu.shares).sum()
+        self.total_shares
     }
 
     /// Drain the pending change events (consumed by `ns_monitor`).
@@ -197,6 +203,31 @@ mod tests {
         assert_eq!(m.total_shares(), 1536);
         m.remove(a);
         assert_eq!(m.total_shares(), 1024);
+    }
+
+    #[test]
+    fn total_shares_follows_updates_and_matches_a_fresh_sum() {
+        let mut m = CgroupManager::new();
+        let with = |shares| {
+            CgroupSpec::new(
+                CpuController::unlimited(4).with_shares(shares),
+                MemController::unlimited(),
+            )
+        };
+        let a = m.create(with(512));
+        let b = m.create(with(1024));
+        m.update(a, with(2048));
+        assert_eq!(m.total_shares(), 3072);
+        m.update(CgroupId(99), with(4096)); // unknown: no change
+        m.remove(b);
+        m.remove(b); // already gone: no change
+        let c = m.create(with(100));
+        assert_eq!(m.total_shares(), 2148);
+        let fresh: u64 = m.iter().map(|(_, s)| s.cpu.shares).sum();
+        assert_eq!(m.total_shares(), fresh);
+        m.remove(a);
+        m.remove(c);
+        assert_eq!(m.total_shares(), 0);
     }
 
     #[test]

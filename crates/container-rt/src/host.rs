@@ -213,7 +213,6 @@ impl SimHost {
             self.pump_events();
             if !self.monitor_stalled() && self.journal.is_some() {
                 let tick = self.monitor.now_tick();
-                let snap = self.monitor.snapshot();
                 let js = self.journal.as_mut().expect("presence checked above");
                 // Group-commit the removal immediately: a crash
                 // before the next timer firing must not resurrect
@@ -222,7 +221,12 @@ impl SimHost {
                 if let Some(fb) = &mut js.fallback {
                     let _ = fb.append_remove(id.0);
                 }
-                self.journal_ladder(errored, false, &snap, tick);
+                // Without an error (and no checkpoint to heal on) the
+                // ladder does nothing, so only an error needs the views.
+                if errored {
+                    let snap = self.monitor.snapshot();
+                    self.journal_ladder(true, false, &snap, tick);
+                }
             }
             if let Some(server) = &self.viewd {
                 server.unregister(id);
@@ -753,7 +757,8 @@ impl SimHost {
     /// with the conservative fallback the daemon serves if this publish
     /// turns out to be the last one for a while.
     fn viewd_mirror(&self, id: CgroupId) {
-        let (Some(server), Some(ns)) = (&self.viewd, self.monitor.namespace(id)) else {
+        let Some(server) = &self.viewd else { return };
+        let Some(ns) = self.monitor.namespace(id) else {
             return;
         };
         server.set_fallback(id, ns.cpu_bounds().lower, ns.soft_limit());
@@ -766,6 +771,9 @@ impl SimHost {
     }
 
     fn viewd_mirror_all(&self) {
+        if self.viewd.is_none() {
+            return;
+        }
         for id in self.containers.keys() {
             self.viewd_mirror(*id);
         }

@@ -8,13 +8,16 @@
 //!   recomputes every namespace's *static* inputs: the CPU bounds
 //!   (which depend on the share total over all containers, so one
 //!   container's arrival moves everyone's lower bound) and the memory
-//!   limits;
+//!   limits. [`NsMonitor::ingest`] refreshes only the affected
+//!   namespaces when a batch of limit changes leaves the share total
+//!   where it was;
 //! * **the update timer** — [`NsMonitor::tick`] fires once per scheduling
 //!   period and advances the *dynamic* state machines from scheduler and
-//!   memory-manager observations.
+//!   memory-manager observations. Host free memory is sampled once per
+//!   firing, so a firing costs O(N) over N namespaces.
 
 use arv_cfs::UsageLedger;
-use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, SeqEvent};
+use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CgroupSpec, CpuSet, SeqEvent};
 use arv_mem::{MemSim, Watermarks};
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PipelineEvent, Tracer};
 use std::collections::BTreeMap;
@@ -67,11 +70,15 @@ pub struct NsMonitor {
     next_pid: u32,
     now_tick: u64,
     next_seq: u64,
+    /// The share total `Σ w_j` every namespace's CPU bounds were last
+    /// computed against (`None` before the first full refresh).
+    refreshed_shares: Option<u64>,
     tracer: Tracer,
 }
 
 impl NsMonitor {
-    /// An empty report for figure `id`.
+    /// A monitor with no namespaces yet, over `online` CPUs and
+    /// `host_total` bytes of memory.
     pub fn new(
         online: CpuSet,
         host_total: Bytes,
@@ -89,6 +96,7 @@ impl NsMonitor {
             next_pid: 1,
             now_tick: 0,
             next_seq: 0,
+            refreshed_shares: None,
             tracer: Tracer::disabled(),
         }
     }
@@ -164,28 +172,16 @@ impl NsMonitor {
 
     /// Drain pending cgroup events and refresh static inputs.
     ///
-    /// Any create/remove/update changes the share denominator `Σ w_j`, so
-    /// bounds are recomputed for *every* namespace whenever at least one
-    /// event arrived.
+    /// A create or remove moves the share denominator `Σ w_j`, and with
+    /// it every lower bound; `sync` recomputes every namespace's bounds
+    /// whenever at least one event arrived.
     pub fn sync(&mut self, cgm: &mut CgroupManager) {
         let events = cgm.drain_events();
         if events.is_empty() {
             return;
         }
-        for ev in &events {
-            match ev {
-                CgroupEvent::Created(id) => self.create_namespace(*id, cgm),
-                CgroupEvent::Removed(id) => {
-                    if self.namespaces.remove(id).is_some() {
-                        self.tracer.emit_pipeline(
-                            self.now_tick,
-                            Some(*id),
-                            PipelineEvent::ContainerRemoved,
-                        );
-                    }
-                }
-                CgroupEvent::Updated(_) => {}
-            }
+        for ev in events {
+            self.apply_event(ev, cgm);
         }
         self.recompute_all(cgm, DecisionCause::StaticRefresh);
     }
@@ -200,8 +196,36 @@ impl NsMonitor {
     /// gap so the caller can schedule a [`resync`](NsMonitor::resync).
     /// Reordered deliveries surface as a gap too, which is the safe,
     /// conservative reading.
+    ///
+    /// A gap-free batch of only `Updated` events that leaves the share
+    /// total where the last full refresh left it refreshes just the
+    /// namespaces it names, in id order: every other namespace's static
+    /// inputs are unchanged, so a full refresh would leave them as they
+    /// are. Any other batch refreshes every namespace.
     pub fn ingest(&mut self, events: &[SeqEvent], cgm: &CgroupManager) -> IngestReport {
+        let (report, updated) = self.apply_events(events, cgm);
+        if report.applied > 0 {
+            match updated {
+                Some(ids) if self.refreshed_shares == Some(cgm.total_shares()) => {
+                    self.refresh(&ids, cgm);
+                }
+                _ => self.recompute_all(cgm, DecisionCause::StaticRefresh),
+            }
+        }
+        report
+    }
+
+    /// The event half of [`ingest`](NsMonitor::ingest): consume `events`
+    /// in sequence order, create and drop namespaces, and trace a gap.
+    /// Returns the report and, for a gap-free batch whose applied events
+    /// were all `Updated`, the ids they named (sorted, deduplicated).
+    fn apply_events(
+        &mut self,
+        events: &[SeqEvent],
+        cgm: &CgroupManager,
+    ) -> (IngestReport, Option<Vec<CgroupId>>) {
         let mut report = IngestReport::default();
+        let mut updated = Some(Vec::new());
         for ev in events {
             if ev.seq < self.next_seq {
                 report.duplicates += 1;
@@ -211,29 +235,41 @@ impl NsMonitor {
                 report.gap = true;
             }
             self.next_seq = ev.seq + 1;
-            match ev.event {
-                CgroupEvent::Created(id) => self.create_namespace(id, cgm),
-                CgroupEvent::Removed(id) => {
-                    if self.namespaces.remove(&id).is_some() {
-                        self.tracer.emit_pipeline(
-                            self.now_tick,
-                            Some(id),
-                            PipelineEvent::ContainerRemoved,
-                        );
-                    }
-                }
-                CgroupEvent::Updated(_) => {}
+            match self.apply_event(ev.event, cgm) {
+                Some(id) => updated.iter_mut().for_each(|ids| ids.push(id)),
+                None => updated = None,
             }
             report.applied += 1;
         }
         if report.gap {
+            updated = None;
             self.tracer
                 .emit_pipeline(self.now_tick, None, PipelineEvent::GapDetected);
         }
-        if report.applied > 0 {
-            self.recompute_all(cgm, DecisionCause::StaticRefresh);
+        if let Some(ids) = &mut updated {
+            ids.sort_unstable();
+            ids.dedup();
         }
-        report
+        (report, updated)
+    }
+
+    /// Create or drop the namespace a lifecycle event names; returns the
+    /// id an `Updated` event names (its refresh is the caller's).
+    fn apply_event(&mut self, event: CgroupEvent, cgm: &CgroupManager) -> Option<CgroupId> {
+        match event {
+            CgroupEvent::Created(id) => self.create_namespace(id, cgm),
+            CgroupEvent::Removed(id) => {
+                if self.namespaces.remove(&id).is_some() {
+                    self.tracer.emit_pipeline(
+                        self.now_tick,
+                        Some(id),
+                        PipelineEvent::ContainerRemoved,
+                    );
+                }
+            }
+            CgroupEvent::Updated(id) => return Some(id),
+        }
+        None
     }
 
     /// Full reconcile pass: rescan the cgroup hierarchy from scratch.
@@ -431,53 +467,36 @@ impl NsMonitor {
     /// each view the clamp actually moved.
     fn recompute_all(&mut self, cgm: &CgroupManager, cause: DecisionCause) {
         let total_shares = cgm.total_shares();
+        let refresh = StaticRefresh::new(self, total_shares, cause);
         for (id, ns) in self.namespaces.iter_mut() {
             if let Some(spec) = cgm.get(*id) {
-                let cpu_before = ns.effective_cpu();
-                let mem_before = ns.effective_memory();
-                ns.set_cpu_bounds(CpuBounds::compute(&spec.cpu, total_shares, self.online));
-                ns.set_mem_limits(
-                    spec.mem.soft_limit_or(self.host_total),
-                    spec.mem.hard_limit_or(self.host_total),
-                );
-                let cpu_after = ns.effective_cpu();
-                let mem_after = ns.effective_memory();
-                if cpu_after != cpu_before {
-                    self.tracer.emit_cpu(
-                        self.now_tick,
-                        *id,
-                        CpuDecision {
-                            cause,
-                            before: cpu_before,
-                            after: cpu_after,
-                            utilization: 0.0,
-                            had_slack: false,
-                        },
-                    );
-                }
-                if mem_after != mem_before {
-                    self.tracer.emit_mem(
-                        self.now_tick,
-                        *id,
-                        MemDecision {
-                            cause,
-                            before: mem_before,
-                            after: mem_after,
-                            usage: Bytes(0),
-                            free: Bytes(0),
-                        },
-                    );
-                }
+                refresh.apply(*id, ns, spec);
+            }
+        }
+        self.refreshed_shares = Some(total_shares);
+    }
+
+    /// Refresh the static inputs of the namespaces in `ids` only (in the
+    /// given order), exactly as a static-refresh
+    /// [`recompute_all`](Self::recompute_all) would refresh them.
+    fn refresh(&mut self, ids: &[CgroupId], cgm: &CgroupManager) {
+        let refresh = StaticRefresh::new(self, cgm.total_shares(), DecisionCause::StaticRefresh);
+        for id in ids {
+            if let (Some(ns), Some(spec)) = (self.namespaces.get_mut(id), cgm.get(*id)) {
+                refresh.apply(*id, ns, spec);
             }
         }
     }
 
     /// Periodic update: advance every namespace from the last scheduling
     /// period's CPU accounting and the memory manager's current state.
+    /// Host free memory is sampled once per firing; every namespace sees
+    /// the same value.
     pub fn tick(&mut self, ledger: &UsageLedger, mem: &MemSim) {
         if ledger.last_period().is_zero() {
             return; // nothing scheduled yet
         }
+        let free = mem.free();
         for (id, ns) in self.namespaces.iter_mut() {
             let (cpu_d, mem_d) = ns.update_explained(
                 CpuSample {
@@ -486,7 +505,7 @@ impl NsMonitor {
                     slack: ledger.last_slack(),
                 },
                 MemSample {
-                    free: mem.free(),
+                    free,
                     usage: mem.usage(*id),
                     reclaiming: mem.is_reclaiming(),
                 },
@@ -503,11 +522,13 @@ impl NsMonitor {
 
     /// Update-timer firing over the ledger's accumulated window (used by
     /// event-driven drivers whose steps are shorter than one scheduling
-    /// period).
+    /// period). Like [`tick`](NsMonitor::tick), it samples host free
+    /// memory once per firing.
     pub fn tick_window(&mut self, ledger: &UsageLedger, mem: &MemSim) {
         if ledger.window_time().is_zero() {
             return;
         }
+        let free = mem.free();
         for (id, ns) in self.namespaces.iter_mut() {
             let (cpu_d, mem_d) = ns.update_explained(
                 CpuSample {
@@ -516,7 +537,7 @@ impl NsMonitor {
                     slack: ledger.window_slack(),
                 },
                 MemSample {
-                    free: mem.free(),
+                    free,
                     usage: mem.usage(*id),
                     reclaiming: mem.is_reclaiming(),
                 },
@@ -546,6 +567,74 @@ impl NsMonitor {
                 self.tracer.emit_cpu(self.now_tick, *id, d);
             }
             ns.stamp(self.now_tick);
+        }
+    }
+}
+
+/// The inputs of one static refresh pass, shared by every namespace it
+/// touches.
+struct StaticRefresh {
+    tracer: Tracer,
+    now_tick: u64,
+    online: CpuSet,
+    host_total: Bytes,
+    total_shares: u64,
+    cause: DecisionCause,
+}
+
+impl StaticRefresh {
+    fn new(mon: &NsMonitor, total_shares: u64, cause: DecisionCause) -> StaticRefresh {
+        StaticRefresh {
+            tracer: mon.tracer.clone(),
+            now_tick: mon.now_tick,
+            online: mon.online,
+            host_total: mon.host_total,
+            total_shares,
+            cause,
+        }
+    }
+
+    /// Install `spec`'s bounds and limits into `ns`, tracing each view
+    /// the clamp moved.
+    fn apply(&self, id: CgroupId, ns: &mut SysNamespace, spec: &CgroupSpec) {
+        let cpu_before = ns.effective_cpu();
+        let mem_before = ns.effective_memory();
+        ns.set_cpu_bounds(CpuBounds::compute(
+            &spec.cpu,
+            self.total_shares,
+            self.online,
+        ));
+        ns.set_mem_limits(
+            spec.mem.soft_limit_or(self.host_total),
+            spec.mem.hard_limit_or(self.host_total),
+        );
+        let cpu_after = ns.effective_cpu();
+        let mem_after = ns.effective_memory();
+        if cpu_after != cpu_before {
+            self.tracer.emit_cpu(
+                self.now_tick,
+                id,
+                CpuDecision {
+                    cause: self.cause,
+                    before: cpu_before,
+                    after: cpu_after,
+                    utilization: 0.0,
+                    had_slack: false,
+                },
+            );
+        }
+        if mem_after != mem_before {
+            self.tracer.emit_mem(
+                self.now_tick,
+                id,
+                MemDecision {
+                    cause: self.cause,
+                    before: mem_before,
+                    after: mem_after,
+                    usage: Bytes(0),
+                    free: Bytes(0),
+                },
+            );
         }
     }
 }
@@ -985,5 +1074,249 @@ mod tests {
         ledger.record(&cfs.allocate(P, &[GroupDemand::cpu_bound(a, 20, 1024, 10.0)]));
         mon.tick_window(&ledger, &mem);
         assert_eq!(mon.namespace(a).unwrap().last_tick(), 5);
+    }
+
+    #[test]
+    fn limit_only_batch_refreshes_just_the_named_namespaces() {
+        let (mut cgm, mut mon, _, _, _) = testbed();
+        let mut pipe = arv_cgroups::EventPipe::new(16);
+        let a = cgm.create(paper_spec());
+        let b = cgm.create(paper_spec());
+        mon.ingest(&pump(&mut cgm, &mut pipe), &cgm);
+        // Knock `b`'s bounds off what its cgroup says; only a refresh
+        // that reaches `b` puts them back.
+        let stray = CpuBounds { lower: 1, upper: 1 };
+        mon.namespace_mut(b).unwrap().set_cpu_bounds(stray);
+
+        // A memory-only update to `a` keeps the share total: only `a`
+        // is refreshed.
+        let mem_only = CgroupSpec::new(
+            CpuController::unlimited(20).with_quota_cpus(10.0),
+            MemController::unlimited().with_hard_limit(Bytes::from_gib(2)),
+        );
+        cgm.update(a, mem_only);
+        mon.ingest(&pump(&mut cgm, &mut pipe), &cgm);
+        assert_eq!(mon.namespace(a).unwrap().hard_limit(), Bytes::from_gib(2));
+        assert_eq!(mon.namespace(b).unwrap().cpu_bounds(), stray);
+
+        // A share change moves the denominator: every namespace is
+        // refreshed, `b` included.
+        cgm.update(
+            a,
+            CgroupSpec::new(mem_only.cpu.with_shares(2048), mem_only.mem),
+        );
+        mon.ingest(&pump(&mut cgm, &mut pipe), &cgm);
+        assert_eq!(
+            mon.namespace(b).unwrap().cpu_bounds(),
+            CpuBounds {
+                lower: 7,
+                upper: 10
+            }
+        );
+    }
+
+    #[test]
+    fn limit_only_batch_with_a_gap_refreshes_everything() {
+        let (mut cgm, mut mon, _, _, _) = testbed();
+        let mut pipe = arv_cgroups::EventPipe::new(16);
+        let a = cgm.create(paper_spec());
+        let b = cgm.create(paper_spec());
+        mon.ingest(&pump(&mut cgm, &mut pipe), &cgm);
+        let limited = |gib| {
+            CgroupSpec::new(
+                CpuController::unlimited(20).with_quota_cpus(10.0),
+                MemController::unlimited().with_hard_limit(Bytes::from_gib(gib)),
+            )
+        };
+        cgm.update(b, limited(1));
+        cgm.update(a, limited(2));
+        let mut events = pump(&mut cgm, &mut pipe);
+        events.remove(0); // `b`'s update is lost in transit
+        let rep = mon.ingest(&events, &cgm);
+        assert!(rep.gap);
+        // The gap makes the refresh full, so `b`'s change lands anyway.
+        assert_eq!(mon.namespace(a).unwrap().hard_limit(), Bytes::from_gib(2));
+        assert_eq!(mon.namespace(b).unwrap().hard_limit(), Bytes::from_gib(1));
+    }
+}
+
+/// Differential check of [`NsMonitor::ingest`]'s incremental refresh
+/// against the full refresh every applied batch used to run.
+#[cfg(test)]
+mod ingest_differential {
+    use super::*;
+    use arv_cfs::{CfsSim, GroupDemand};
+    use arv_cgroups::{CpuController, EventPipe, MemController};
+    use arv_mem::MemSimConfig;
+    use arv_sim_core::SimDuration;
+    use proptest::prelude::*;
+
+    const P: SimDuration = SimDuration::from_millis(24);
+    const MIB: u64 = 1 << 20;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Create {
+            shares: u64,
+            quota: f64,
+        },
+        /// Memory-only update: soft = hard / 2.
+        MemLimits {
+            pick: usize,
+            hard_mib: u64,
+        },
+        /// Quota-only update.
+        Quota {
+            pick: usize,
+            cpus: f64,
+        },
+        /// Share-changing update.
+        Shares {
+            pick: usize,
+            shares: u64,
+        },
+        Remove {
+            pick: usize,
+        },
+        /// Deliver the queued events, then run one update-timer firing.
+        Tick {
+            runnable: u32,
+            charge_mib: u64,
+        },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (2u64..4096, 1.0f64..16.0).prop_map(|(shares, quota)| Op::Create { shares, quota }),
+            (0usize..64, 64u64..4096).prop_map(|(pick, hard_mib)| Op::MemLimits { pick, hard_mib }),
+            (0usize..64, 1.0f64..16.0).prop_map(|(pick, cpus)| Op::Quota { pick, cpus }),
+            (0usize..64, 2u64..4096).prop_map(|(pick, shares)| Op::Shares { pick, shares }),
+            (0usize..64).prop_map(|pick| Op::Remove { pick }),
+            // Listed twice: a tick delivers the batch, so batches stay
+            // short enough that many hold only limit changes.
+            (0u32..24, 0u64..256).prop_map(|(runnable, charge_mib)| Op::Tick {
+                runnable,
+                charge_mib
+            }),
+            (0u32..24, 0u64..256).prop_map(|(runnable, charge_mib)| Op::Tick {
+                runnable,
+                charge_mib
+            }),
+        ]
+    }
+
+    /// `ingest` with every applied batch refreshing every namespace.
+    fn ingest_full(mon: &mut NsMonitor, events: &[SeqEvent], cgm: &CgroupManager) {
+        let (report, _) = mon.apply_events(events, cgm);
+        if report.applied > 0 {
+            mon.recompute_all(cgm, DecisionCause::StaticRefresh);
+        }
+    }
+
+    fn assert_same(inc: &NsMonitor, full: &NsMonitor) {
+        assert_eq!(inc.len(), full.len());
+        for (id, ns) in &inc.namespaces {
+            let other = full.namespaces.get(id).expect("same membership");
+            // Bounds, limits, views, prediction history and stamp.
+            assert_eq!(format!("{ns:?}"), format!("{other:?}"), "{id:?} diverged");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn incremental_ingest_matches_full_refresh(ops in prop::collection::vec(op(), 1..96)) {
+            let cfs = CfsSim::with_cpus(20);
+            let mut mem = MemSim::new(MemSimConfig::paper_testbed());
+            let mut cgm = CgroupManager::new();
+            let mut pipe = EventPipe::new(1024);
+            let mut ledger = UsageLedger::new();
+            let mut inc = NsMonitor::with_defaults(cfs.online(), mem.total(), *mem.watermarks());
+            let mut full = inc.clone();
+            inc.set_tracer(Tracer::bounded(1 << 16));
+            full.set_tracer(Tracer::bounded(1 << 16));
+            let mut live: Vec<(CgroupId, CgroupSpec)> = Vec::new();
+
+            for op in ops.iter().copied().chain([Op::Tick { runnable: 4, charge_mib: 0 }]) {
+                let mut update = |live: &mut Vec<(CgroupId, CgroupSpec)>,
+                                  pick: usize,
+                                  f: &dyn Fn(CgroupSpec) -> CgroupSpec| {
+                    if live.is_empty() {
+                        return;
+                    }
+                    let i = pick % live.len();
+                    let (id, spec) = live[i];
+                    let next = f(spec);
+                    cgm.update(id, next);
+                    mem.set_limits(id, next.mem);
+                    live[i].1 = next;
+                };
+                match op {
+                    Op::Create { shares, quota } => {
+                        let spec = CgroupSpec::new(
+                            CpuController::unlimited(20)
+                                .with_shares(shares)
+                                .with_quota_cpus(quota),
+                            MemController::unlimited(),
+                        );
+                        let id = cgm.create(spec);
+                        mem.register(id, spec.mem);
+                        live.push((id, spec));
+                    }
+                    Op::MemLimits { pick, hard_mib } => update(&mut live, pick, &|s| {
+                        CgroupSpec::new(
+                            s.cpu,
+                            MemController::unlimited()
+                                .with_hard_limit(Bytes(hard_mib * MIB))
+                                .with_soft_limit(Bytes(hard_mib / 2 * MIB)),
+                        )
+                    }),
+                    Op::Quota { pick, cpus } => update(&mut live, pick, &|s| {
+                        CgroupSpec::new(s.cpu.with_quota_cpus(cpus), s.mem)
+                    }),
+                    Op::Shares { pick, shares } => update(&mut live, pick, &|s| {
+                        CgroupSpec::new(s.cpu.with_shares(shares), s.mem)
+                    }),
+                    Op::Remove { pick } => {
+                        if !live.is_empty() {
+                            let (id, _) = live.remove(pick % live.len());
+                            cgm.remove(id);
+                            mem.unregister(id);
+                            ledger.forget(id);
+                        }
+                    }
+                    Op::Tick { runnable, charge_mib } => {
+                        for ev in cgm.drain_events() {
+                            pipe.push(ev);
+                        }
+                        let events = pipe.drain();
+                        let rep = inc.ingest(&events, &cgm);
+                        ingest_full(&mut full, &events, &cgm);
+                        prop_assert!(!rep.gap);
+                        assert_same(&inc, &full);
+
+                        let demands: Vec<GroupDemand> = live
+                            .iter()
+                            .map(|(id, s)| {
+                                GroupDemand::cpu_bound(*id, runnable, s.cpu.shares, 20.0)
+                            })
+                            .collect();
+                        for (id, _) in &live {
+                            let _ = mem.charge(*id, Bytes(charge_mib * MIB));
+                        }
+                        ledger.record(&cfs.allocate(P, &demands));
+                        for mon in [&mut inc, &mut full] {
+                            mon.observe_tick();
+                            mon.tick_window(&ledger, &mem);
+                        }
+                        ledger.reset_window();
+                        assert_same(&inc, &full);
+                    }
+                }
+            }
+            prop_assert_eq!(inc.tracer().dropped_events(), 0);
+            prop_assert_eq!(inc.tracer().events(), full.tracer().events());
+        }
     }
 }

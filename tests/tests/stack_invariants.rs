@@ -1,9 +1,17 @@
 //! Property-based invariants over the full stack: whatever the container
 //! mix and load pattern, the views stay inside their bounds, accounting
-//! balances, and physical memory is never oversubscribed.
+//! balances, and physical memory is never oversubscribed. One more case
+//! holds the paper's view invariants at 20k containers, where a per-tick
+//! cost that grows with N² would show.
 
-use arv_cgroups::Bytes;
+use arv_cfs::{CfsSim, GroupDemand, UsageLedger};
+use arv_cgroups::{
+    Bytes, CgroupId, CgroupManager, CgroupSpec, CpuController, EventPipe, MemController,
+};
 use arv_container::{ContainerSpec, SimHost};
+use arv_mem::{MemSim, MemSimConfig};
+use arv_resview::NsMonitor;
+use arv_sim_core::SimDuration;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -137,4 +145,117 @@ proptest! {
             }
         }
     }
+}
+
+/// The paper's view invariants at 20k containers, on the monitor layer
+/// alone (cgroups, memory, CFS, ledger and `NsMonitor`; no daemon):
+/// after every update-timer firing, lower ≤ E_CPU ≤ upper,
+/// soft ≤ E_MEM ≤ hard, and E_CPU moved at most one CPU. A hot set runs
+/// with slack for eight firings (views grow), then every container runs
+/// and slack vanishes (views shrink). Memory-only `docker update`s land
+/// between firings through the sequence-numbered event pipe.
+#[test]
+fn view_invariants_hold_at_twenty_thousand_containers() {
+    const N: u32 = 20_000;
+    const FIRINGS: u32 = 16;
+    const HOT: u32 = 24;
+    const P: SimDuration = SimDuration::from_millis(24);
+    let cfs = CfsSim::with_cpus(128);
+    let mut mem = MemSim::new(MemSimConfig::with_total(Bytes::from_gib(4096)));
+    let mut cgm = CgroupManager::new();
+    let mut pipe = EventPipe::new(N as usize + 64);
+    let mut ledger = UsageLedger::new();
+    let mut mon = NsMonitor::with_defaults(cfs.online(), mem.total(), *mem.watermarks());
+
+    let mem_limits = |hard_mib: u64| {
+        MemController::unlimited()
+            .with_hard_limit(Bytes::from_mib(hard_mib))
+            .with_soft_limit(Bytes::from_mib(hard_mib / 2))
+    };
+    let ids: Vec<CgroupId> = (0..N)
+        .map(|i| {
+            let cpu = CpuController::unlimited(128)
+                .with_shares(512 + u64::from(i % 4) * 512)
+                .with_quota_cpus(f64::from(2 + i % 15));
+            let mem_ctl = mem_limits(256 + u64::from(i % 8) * 256);
+            let id = cgm.create(CgroupSpec::new(cpu, mem_ctl));
+            mem.register(id, mem_ctl);
+            id
+        })
+        .collect();
+    let mut deliver = |cgm: &mut CgroupManager, mon: &mut NsMonitor| {
+        for ev in cgm.drain_events() {
+            pipe.push(ev);
+        }
+        let report = mon.ingest(&pipe.drain(), cgm);
+        assert!(!report.gap && report.duplicates == 0);
+    };
+    deliver(&mut cgm, &mut mon);
+    assert_eq!(mon.len(), N as usize);
+
+    let hot: Vec<usize> = (0..HOT).map(|h| (h * (N / HOT)) as usize).collect();
+    let mut hot_total: Vec<u32> = Vec::new();
+    let mut prev_cpu: Vec<u32> = ids
+        .iter()
+        .map(|id| mon.effective_cpu(*id).unwrap())
+        .collect();
+    for firing in 0..FIRINGS {
+        let demands: Vec<GroupDemand> = if firing < FIRINGS / 2 {
+            hot.iter()
+                .map(|h| {
+                    let id = ids[*h];
+                    let _ = mem.charge(id, Bytes::from_mib(64));
+                    GroupDemand::cpu_bound(id, 4, 1024, 16.0)
+                })
+                .collect()
+        } else {
+            ids.iter()
+                .map(|id| GroupDemand::cpu_bound(*id, 1, 1024, 16.0))
+                .collect()
+        };
+        ledger.record(&cfs.allocate(P, &demands));
+        mon.observe_tick();
+        mon.tick_window(&ledger, &mem);
+        ledger.reset_window();
+
+        for (i, id) in ids.iter().enumerate() {
+            let ns = mon.namespace(*id).unwrap();
+            let (e, b) = (ns.effective_cpu(), ns.cpu_bounds());
+            assert!(
+                e >= b.lower && e <= b.upper,
+                "{id:?}: E_CPU {e} outside {b:?}"
+            );
+            assert!(
+                e.abs_diff(prev_cpu[i]) <= 1,
+                "{id:?}: E_CPU moved {} -> {e} in one firing",
+                prev_cpu[i]
+            );
+            let m = ns.effective_memory();
+            assert!(
+                m >= ns.soft_limit() && m <= ns.hard_limit(),
+                "{id:?}: E_MEM {m} outside [{}, {}]",
+                ns.soft_limit(),
+                ns.hard_limit()
+            );
+            prev_cpu[i] = e;
+        }
+
+        // A few memory-only updates between firings: the share total is
+        // unchanged, so only these namespaces are refreshed.
+        for k in 0..4 {
+            let id = ids[((firing * 4 + k) * 997 % N) as usize];
+            let spec = CgroupSpec::new(
+                cgm.get(id).unwrap().cpu,
+                mem_limits(512 + u64::from(k) * 256),
+            );
+            cgm.update(id, spec);
+            mem.set_limits(id, spec.mem);
+        }
+        deliver(&mut cgm, &mut mon);
+        hot_total.push(hot.iter().map(|i| prev_cpu[*i]).sum());
+    }
+    // The hot set grew while slack lasted, and the all-busy firings
+    // pulled it back down.
+    let (start, peak, end) = (hot_total[0], hot_total[7], hot_total[15]);
+    assert!(peak > start && end < peak, "hot-set E_CPU {hot_total:?}");
 }
